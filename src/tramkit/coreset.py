@@ -87,7 +87,7 @@ def _dsquared_indices(pts: np.ndarray, count: int, rng: np.random.Generator) -> 
             need = count - len(chosen)
             chosen.extend(chosen[i % len(chosen)] for i in range(need))
             break
-        idx = mass_pick(d2, total, rng)
+        idx = mass_pick(d2, rng)
         chosen.append(idx)
         diff = pts - pts[idx]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)

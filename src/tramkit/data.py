@@ -78,7 +78,7 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     pts = means[comp]
     if spec.sigma2 > 0:
         pts = pts + rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
-    return SyntheticResult(data=Dataset(pts), means=means, weights=weights)
+    return SyntheticResult(data=Dataset._trusted(pts), means=means, weights=weights)
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -111,7 +111,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.asarray(rows))
+    # every row was checked finite and rectangular above
+    return Dataset._trusted(np.asarray(rows, dtype=np.float64))
 
 
 def save_csv(data: Dataset, path, header: bool = True) -> None:

@@ -64,7 +64,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     if total <= 0:
         raise ValueError("all weights are zero")
     pts = ws.points
-    chosen = [mass_pick(ws.weights, total, rng)]
+    chosen = [mass_pick(ws.weights, rng)]
     d2 = np.einsum("ij,ij->i", pts - pts[chosen[0]], pts - pts[chosen[0]])
     while len(chosen) < k:
         mass = ws.weights * d2
@@ -74,7 +74,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
             need = k - len(chosen)
             chosen.extend(chosen[i % len(chosen)] for i in range(need))
             break
-        idx = mass_pick(mass, mtot, rng)
+        idx = mass_pick(mass, rng)
         chosen.append(idx)
         diff = pts - pts[idx]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)

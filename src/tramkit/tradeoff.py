@@ -149,14 +149,13 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
         # substreams are keyed without the procedure name, so uniform and
         # coreset sweeps see identical samples and solver seeds per cell
         sample_rng = derive_rng(grid.seed, "sample", ni, sj, rep)
-        idx = sample_rng.choice(reference.n, size=n, replace=False)
-        sample = reference.points[idx]
+        sample = reference.subset(sample_rng.choice(reference.n, size=n, replace=False))
         solve_seed = stable_seed(grid.seed, "solve", ni, sj, rep)
 
         t0 = time.perf_counter()
         if grid.procedure == "coreset" and s < n:
             summary = build_coreset(
-                Dataset(sample),
+                sample,
                 CoresetParams(
                     k=grid.solver.k,
                     size=s,
@@ -166,7 +165,7 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
         else:
             # uniform procedure, and coreset cells without summarization room
             summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
-            summary = _uniform_summary(sample, s, summ_rng)
+            summary = _uniform_summary(sample.points, s, summ_rng)
         result = solve(summary, grid.solver, rng=solve_seed)
         times.append(time.perf_counter() - t0)
         risks.append(empirical_risk(reference, result.centers))

@@ -54,3 +54,20 @@ def binom_cdf(v, n, p):
     from math import comb
 
     return sum(comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(v + 1))
+
+
+def nearest_center_per_center(points, centers):
+    """Nearest-center labels and squared distances, one center at a time.
+
+    The reference the distance kernel must equal bit for bit: explicit
+    differences to each center summed by the same row-wise einsum, and the
+    first of several equal minima winning.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    dists = np.empty((pts.shape[0], cs.shape[0]))
+    for j, c in enumerate(cs):
+        diff = pts - c
+        dists[:, j] = np.einsum("ij,ij->i", diff, diff)
+    labels = dists.argmin(axis=1)
+    return labels, dists[np.arange(pts.shape[0]), labels]

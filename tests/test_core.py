@@ -10,6 +10,11 @@ from tramkit import (
     uniform_weighted,
     weighted_risk,
 )
+from tramkit.core import _BLOCK_ROWS, assign_nearest, min_sq_dists
+
+from oracles import nearest_center_per_center
+
+B = _BLOCK_ROWS
 
 
 def test_squared_dist_at_a_center_is_zero():
@@ -144,3 +149,109 @@ def test_prefix_and_subset():
     assert np.array_equal(data.subset([2, 0]).points.ravel(), [2.0, 0.0])
     with pytest.raises(ValueError):
         data.prefix(4)
+    with pytest.raises(ValueError):
+        data.subset(np.array([], dtype=np.intp))
+
+
+def test_dataset_leaves_caller_array_writable_and_unshared():
+    a = np.ones((3, 2))
+    w = np.full(3, 1.0 / 3)
+    data = Dataset(a)
+    WeightedSet(a, w)
+    assert a.flags.writeable and w.flags.writeable
+    a[0, 0] = 5.0
+    assert data.points[0, 0] == 1.0
+
+
+def test_prefix_shares_memory():
+    data = Dataset(np.arange(12.0).reshape(6, 2))
+    part = data.prefix(4)
+    assert np.shares_memory(part.points, data.points)
+    assert not part.points.flags.writeable
+
+
+def _assert_matches_oracle(pts, cs):
+    want_labels, want_d2 = nearest_center_per_center(pts, cs)
+    labels, d2 = assign_nearest(pts, cs)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(d2, want_d2)
+    assert np.array_equal(min_sq_dists(pts, cs), want_d2)
+    return labels, d2
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 20])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_kernel_matches_per_center_oracle(n, k):
+    rng = np.random.default_rng(1000 * k + n)
+    pts = rng.uniform(0, 100, size=(n, 5))
+    cs = rng.uniform(0, 100, size=(k, 5))
+    _assert_matches_oracle(pts, cs)
+
+
+def test_kernel_coinciding_points_give_exact_zero():
+    rng = np.random.default_rng(21)
+    cs = rng.normal(size=(10, 4)) * 50
+    pts = np.vstack([rng.normal(size=(B, 4)) * 50, cs, cs[::-1]])
+    labels, d2 = _assert_matches_oracle(pts, cs)
+    assert np.all(d2[B:] == 0.0)
+    assert np.array_equal(labels[B:], np.r_[np.arange(10), np.arange(10)[::-1]])
+
+
+def test_kernel_equidistant_centers_lowest_index_wins():
+    # every point of an integer lattice against integer centers: many
+    # exact ties, each of which the lowest center index must win
+    g = np.arange(-4.0, 5.0)
+    pts = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    cs = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [2, 2, 0]], float)
+    labels, _ = _assert_matches_oracle(pts, cs)
+    origin = np.flatnonzero((pts == 0).all(axis=1))[0]
+    assert labels[origin] == 0
+
+
+def test_kernel_duplicate_centers_pick_first_copy():
+    rng = np.random.default_rng(22)
+    base = rng.normal(size=(4, 3))
+    cs = np.vstack([base, base[2], base[0]])
+    labels, _ = _assert_matches_oracle(rng.normal(size=(B + 3, 3)), cs)
+    assert labels.max() <= 3
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_kernel_near_ties_follow_explicit_differences(offset):
+    # points a hair off the bisector of two centers, where the GEMM scores'
+    # rounding exceeds the true gap and only explicit differences rank right
+    rng = np.random.default_rng(23)
+    pts = rng.normal(size=(B + 11, 6)) * 50
+    pts[:, 0] = rng.uniform(-1e-9, 1e-9, size=B + 11)
+    cs = np.zeros((3, 6))
+    cs[0, 0], cs[1, 0], cs[2, 0] = -1.0, 1.0, 1e3
+    _assert_matches_oracle(pts + offset, cs + offset)
+
+
+def test_kernel_large_offsets_unit_spread():
+    rng = np.random.default_rng(23)
+    pts = 1e6 + rng.normal(size=(B + 11, 6))
+    cs = 1e6 + rng.normal(size=(10, 6))
+    _, d2 = _assert_matches_oracle(pts, cs)
+    assert np.all(d2 < 100.0)
+
+
+def test_kernel_one_dimensional_input():
+    rng = np.random.default_rng(24)
+    cs = rng.normal(size=(7, 1))
+    _assert_matches_oracle(rng.normal(size=(B + 5, 1)), cs)
+    # a 1-D array is a single point, as in squared_dist
+    x = rng.normal(size=3)
+    cs3 = rng.normal(size=(5, 3))
+    labels, d2 = _assert_matches_oracle(x, cs3)
+    assert labels.shape == d2.shape == (1,)
+
+
+def test_kernel_result_does_not_depend_on_memory_layout():
+    rng = np.random.default_rng(25)
+    pts = rng.normal(size=(B + 9, 10)) * 30
+    cs = rng.normal(size=(10, 10)) * 30
+    labels, d2 = assign_nearest(np.asfortranarray(pts), cs)
+    want_labels, want_d2 = nearest_center_per_center(pts, cs)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(d2, want_d2)
