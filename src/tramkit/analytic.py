@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "AnalyticParams",
-    "BoundSet",
-    "make_bounds",
     "ProcOptimum",
     "eps_model",
     "eps_est",
@@ -83,29 +80,6 @@ def eps_est(m, p: AnalyticParams):
 def eta_simple(s, p: AnalyticParams):
     """Approximation factor in the simplified form A * sqrt(k) / sqrt(s)."""
     return p.A * math.sqrt(p.k) / np.sqrt(s)
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """The bound functions entering the programs, bundled for inspection."""
-
-    eps_model: float
-    eps_est: Callable
-    eta: Callable
-    t_solver: Callable
-    t_init: Callable
-    t_samp: Callable
-
-
-def make_bounds(p: AnalyticParams) -> BoundSet:
-    return BoundSet(
-        eps_model=eps_model(p),
-        eps_est=lambda m: eps_est(m, p),
-        eta=lambda s: eta_simple(s, p),
-        t_solver=lambda s: np.asarray(s, dtype=float) ** p.beta,
-        t_init=lambda m: p.alpha_init * np.asarray(m, dtype=float),
-        t_samp=lambda s: p.alpha_samp * np.asarray(s, dtype=float),
-    )
 
 
 @dataclass(frozen=True)

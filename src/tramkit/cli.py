@@ -124,8 +124,7 @@ def cmd_sweep(args, outputs: list[str]) -> None:
         repeats=args.repeats,
         seed=args.seed,
     )
-    jobs = 1 if args.timing_strict else args.jobs
-    lam = run_sweep(data, grid, jobs=jobs)
+    lam = run_sweep(data, grid, jobs=args.jobs)
     lam.to_csv(args.out)
     outputs.append(args.out)
 
@@ -276,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--s-values", type=_int_list, required=True)
     sweep.add_argument("--repeats", type=int, default=50)
     sweep.add_argument("--jobs", type=int, default=1, help="concurrent cells")
-    sweep.add_argument(
-        "--timing-strict",
-        action="store_true",
-        help="force sequential cells for clean timing",
-    )
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True)
     _add_solver_flags(sweep)

@@ -8,7 +8,7 @@ share across threads. The risk operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,21 +50,17 @@ def _as_points(points, name: str) -> np.ndarray:
 class Dataset:
     """A dense collection of n points in R^d.
 
-    `ball_radius` is optional support-radius metadata (the data is assumed
-    to live in a ball of that radius at the origin); when absent,
-    `bound_radius()` falls back to the max point norm.
+    A support radius other than `bound_radius()` is not stored here; TRAM
+    takes it as `TramParams.B`.
     """
 
     points: np.ndarray
-    ball_radius: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points, "points"))
-        if self.ball_radius is not None and self.ball_radius <= 0:
-            raise ValueError("ball_radius must be positive")
 
     @classmethod
-    def _trusted(cls, points: np.ndarray, ball_radius: float | None = None) -> "Dataset":
+    def _trusted(cls, points: np.ndarray) -> "Dataset":
         """Wrap a finite (n, d) float64 array without copying or scanning it.
 
         Only for arrays the library built itself or views of a validated
@@ -73,7 +69,6 @@ class Dataset:
         points.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "points", points)
-        object.__setattr__(obj, "ball_radius", ball_radius)
         return obj
 
     @property
@@ -85,23 +80,22 @@ class Dataset:
         return self.points.shape[1]
 
     def bound_radius(self) -> float:
-        """Support radius B: the stored bound, else max point norm."""
-        if self.ball_radius is not None:
-            return float(self.ball_radius)
+        """Support radius B: the max point norm, so every point lies in the
+        ball of radius B at the origin."""
         return float(np.sqrt((self.points**2).sum(axis=1).max()))
 
     def prefix(self, m: int) -> "Dataset":
         """Truncation to the first m points (shares memory)."""
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix size {m} outside [1, {self.n}]")
-        return Dataset._trusted(self.points[:m], self.ball_radius)
+        return Dataset._trusted(self.points[:m])
 
     def subset(self, idx) -> "Dataset":
         """The points at the given indices, in that order (a copy)."""
         pts = self.points[np.asarray(idx)]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("subset needs a non-empty 1-D index array")
-        return Dataset._trusted(pts, self.ball_radius)
+        return Dataset._trusted(pts)
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ class WeightedSet:
     """Points with nonnegative weights; represents coresets and subsamples."""
 
     points: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    weights: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points, "points"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers, Dataset, WeightedSet, assign_nearest
+from .core import Centers, Dataset, WeightedSet, assign_nearest, uniform_weighted
 from .rng import derive_rng, mass_pick
 
 __all__ = [
@@ -49,12 +49,11 @@ class Bicriteria:
     """Rough clustering with bicriteria_factor * k centers.
 
     `point_costs` keeps the per-point squared distance to the assigned
-    center; `cluster_costs` aggregates it per center.
+    center; `total_cost` is their sum.
     """
 
     centers: Centers
     assignment: np.ndarray
-    cluster_costs: np.ndarray
     total_cost: float
     point_costs: np.ndarray
 
@@ -105,11 +104,9 @@ def bicriteria_init(data: Dataset, p: CoresetParams, rng=None) -> Bicriteria:
     idx = _dsquared_indices(data.points, count, rng)
     centers = data.points[idx]
     labels, point_costs = assign_nearest(data.points, centers)
-    cluster_costs = np.bincount(labels, weights=point_costs, minlength=count)
     return Bicriteria(
         centers=Centers(centers),
         assignment=labels,
-        cluster_costs=cluster_costs,
         total_cost=float(point_costs.sum()),
         point_costs=point_costs,
     )
@@ -131,19 +128,19 @@ def sensitivities(data: Dataset, b: Bicriteria) -> np.ndarray:
     return sigma
 
 
-def build_coreset(data: Dataset, p: CoresetParams, rng=None) -> WeightedSet:
+def build_coreset(data: Dataset, p: CoresetParams) -> WeightedSet:
     """Importance-sample a coreset of p.size points with unbiased weights.
 
     Samples i.i.d. with probability q(x) = sigma(x)/sum(sigma) and assigns
     weight 1/(size * q * n), so for any fixed centers the expected weighted
     risk over draws equals the empirical risk of `data`. With p.size >= n
     the construction degenerates to the full data at uniform weight 1/n.
+    Randomness comes from the substream (p.seed, "coreset").
     """
-    if rng is None:
-        rng = derive_rng(p.seed, "coreset")
     n = data.n
     if p.size >= n:
-        return WeightedSet(data.points, np.full(n, 1.0 / n))
+        return uniform_weighted(data)
+    rng = derive_rng(p.seed, "coreset")
     b = bicriteria_init(data, p, rng)
     sigma = sensitivities(data, b)
     q = sigma / sigma.sum()

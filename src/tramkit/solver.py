@@ -2,14 +2,13 @@
 
 Used both as the generic solver run on summaries and as the rough
 initializer inside the coreset construction. Everything is deterministic
-given (input, config, seed); restarts draw independent substreams keyed by
-(seed, restart index), so the best-of-restarts result does not depend on
-execution order.
+given (input, config); `SolverConfig.seed` is the only seed, and restarts
+draw independent substreams keyed by (seed, restart index), so the
+best-of-restarts result does not depend on execution order.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class SolveResult:
     centers: Centers
     weighted_risk: float
     iterations: int
-    elapsed: float
     # weighted risk after init and after each Lloyd iteration; used by the
     # monotonicity checks
     history: tuple = ()
@@ -60,9 +58,6 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = float(ws.weights.sum())
-    if total <= 0:
-        raise ValueError("all weights are zero")
     pts = ws.points
     chosen = [mass_pick(ws.weights, rng)]
     d2 = np.einsum("ij,ij->i", pts - pts[chosen[0]], pts - pts[chosen[0]])
@@ -101,7 +96,6 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
     """
     if ws.d != init.d:
         raise ValueError("dimension mismatch between points and centers")
-    t0 = time.perf_counter()
     pts, w = ws.points, ws.weights
     k = init.k
     centers = np.array(init.centers, dtype=np.float64)
@@ -132,37 +126,21 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
         centers=Centers(centers),
         weighted_risk=risk,
         iterations=iterations,
-        elapsed=time.perf_counter() - t0,
         history=tuple(history),
     )
 
 
-def solve(ws: WeightedSet, cfg: SolverConfig, rng=None) -> SolveResult:
+def solve(ws: WeightedSet, cfg: SolverConfig) -> SolveResult:
     """Best of cfg.restarts independent (seed_dsquared -> lloyd) pipelines.
 
-    `rng` may be None (use cfg.seed), an integer seed, or a Generator (one
-    integer is drawn from it as the base seed). Restart r always uses the
-    substream (base, "restart", r).
+    Restart r draws its seeding from the substream (cfg.seed, "restart", r);
+    ties in risk keep the earliest restart.
     """
-    if rng is None:
-        base = cfg.seed
-    elif isinstance(rng, np.random.Generator):
-        base = int(rng.integers(1 << 63))
-    else:
-        base = int(rng)
-    t0 = time.perf_counter()
     best: SolveResult | None = None
     for r in range(cfg.restarts):
-        g = derive_rng(base, "restart", r)
-        init = seed_dsquared(ws, cfg.k, g)
+        init = seed_dsquared(ws, cfg.k, derive_rng(cfg.seed, "restart", r))
         res = lloyd(ws, init, cfg)
         if best is None or res.weighted_risk < best.weighted_risk:
             best = res
     assert best is not None
-    return SolveResult(
-        centers=best.centers,
-        weighted_risk=best.weighted_risk,
-        iterations=best.iterations,
-        elapsed=time.perf_counter() - t0,
-        history=best.history,
-    )
+    return best

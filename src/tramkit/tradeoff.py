@@ -13,11 +13,9 @@ import csv
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
-from .core import Dataset, WeightedSet, empirical_risk
+from .core import Dataset, empirical_risk, uniform_weighted
 from .coreset import CoresetParams, build_coreset
 from .rng import derive_rng, stable_seed
 from .solver import SolverConfig, solve
@@ -34,19 +32,6 @@ __all__ = [
 ]
 
 PROCEDURES = ("uniform", "coreset")
-
-LAMBDA_HEADER = [
-    "procedure",
-    "n",
-    "s",
-    "repeats",
-    "mean_time_s",
-    "median_time_s",
-    "mean_risk",
-    "std_risk",
-    "seed",
-]
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -84,6 +69,13 @@ class LambdaRecord:
     seed: int
 
 
+# the Lambda CSV columns in order, each with its parser (field types are
+# strings here, as annotations are not evaluated)
+_PARSERS = {"str": str, "int": int, "float": float}
+_LAMBDA_FIELDS = tuple((f.name, _PARSERS[f.type]) for f in fields(LambdaRecord))
+LAMBDA_HEADER = [name for name, _ in _LAMBDA_FIELDS]
+
+
 @dataclass(frozen=True)
 class Lambda:
     records: tuple[LambdaRecord, ...]
@@ -92,54 +84,24 @@ class Lambda:
         return tuple(sorted({r.n for r in self.records}))
 
     def to_csv(self, path) -> None:
+        # csv writes floats with repr, so values round-trip exactly
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(LAMBDA_HEADER)
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.procedure,
-                        r.n,
-                        r.s,
-                        r.repeats,
-                        repr(r.mean_time_s),
-                        repr(r.median_time_s),
-                        repr(r.mean_risk),
-                        repr(r.std_risk),
-                        r.seed,
-                    ]
-                )
+                writer.writerow([getattr(r, name) for name in LAMBDA_HEADER])
 
     @staticmethod
     def from_csv(path) -> "Lambda":
-        records = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != LAMBDA_HEADER:
                 raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-            for row in reader:
-                records.append(
-                    LambdaRecord(
-                        procedure=row["procedure"],
-                        n=int(row["n"]),
-                        s=int(row["s"]),
-                        repeats=int(row["repeats"]),
-                        mean_time_s=float(row["mean_time_s"]),
-                        median_time_s=float(row["median_time_s"]),
-                        mean_risk=float(row["mean_risk"]),
-                        std_risk=float(row["std_risk"]),
-                        seed=int(row["seed"]),
-                    )
-                )
-        return Lambda(tuple(records))
-
-
-def _uniform_summary(sample: np.ndarray, s: int, rng: np.random.Generator) -> WeightedSet:
-    n = sample.shape[0]
-    if s >= n:
-        return WeightedSet(sample, np.full(n, 1.0 / n))
-    idx = rng.choice(n, size=s, replace=False)
-    return WeightedSet(sample[idx], np.full(s, 1.0 / s))
+            records = tuple(
+                LambdaRecord(**{name: parse(row[name]) for name, parse in _LAMBDA_FIELDS})
+                for row in reader
+            )
+        return Lambda(records)
 
 
 def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRecord:
@@ -150,10 +112,11 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
         # coreset sweeps see identical samples and solver seeds per cell
         sample_rng = derive_rng(grid.seed, "sample", ni, sj, rep)
         sample = reference.subset(sample_rng.choice(reference.n, size=n, replace=False))
-        solve_seed = stable_seed(grid.seed, "solve", ni, sj, rep)
+        solver = replace(grid.solver, seed=stable_seed(grid.seed, "solve", ni, sj, rep))
 
         t0 = time.perf_counter()
-        if grid.procedure == "coreset" and s < n:
+        if grid.procedure == "coreset":
+            # s >= n gives the whole sample at weight 1/n, as uniform does
             summary = build_coreset(
                 sample,
                 CoresetParams(
@@ -163,10 +126,11 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
                 ),
             )
         else:
-            # uniform procedure, and coreset cells without summarization room
-            summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
-            summary = _uniform_summary(sample.points, s, summ_rng)
-        result = solve(summary, grid.solver, rng=solve_seed)
+            if s < n:
+                summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
+                sample = sample.subset(summ_rng.choice(n, size=s, replace=False))
+            summary = uniform_weighted(sample)
+        result = solve(summary, solver)
         times.append(time.perf_counter() - t0)
         risks.append(empirical_risk(reference, result.centers))
     return LambdaRecord(

@@ -48,7 +48,6 @@ class TramParams:
     k: int
     B: float | None = None  # support radius; resolved from data when None
     beta: float = 1.0 / math.log2(1.5)  # so the default gamma_s is 1.5
-    alpha: float = 1.0  # linear init-time coefficient; recorded, unused
     m0: int | None = None  # None: pilot-derived, inversely proportional to eps
     s0: int | None = None
     gamma_m: float = 2.0
@@ -106,10 +105,6 @@ class TramTrace:
     @property
     def J(self) -> int:
         return len(self.rows)
-
-    @property
-    def a_final(self) -> int:
-        return self.rows[-1].a
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -210,7 +205,7 @@ def run_tram(
             train.prefix(m_i),
             CoresetParams(k=p.k, size=s_i, seed=stable_seed(p.seed, "summarize", i)),
         )
-        result = solve(summary, solver, rng=stable_seed(p.seed, "solve", i))
+        result = solve(summary, replace(solver, seed=stable_seed(p.seed, "solve", i)))
         t_solve = time.perf_counter() - t0
 
         pool_short = a_i > validation_pool.n

@@ -12,7 +12,7 @@ from tramkit import (
     eps_model,
     subsampler_optimum,
 )
-from tramkit.analytic import eta_simple, make_bounds
+from tramkit.analytic import eta_simple
 
 
 REFERENCE = AnalyticParams()  # d=20, k=20, sigma_bar=192, beta=3, A=5, eps=300
@@ -180,14 +180,9 @@ def test_search_close_to_exhaustive_oracle():
 
 
 def test_bound_set_shapes():
-    b = make_bounds(REFERENCE)
     ms = np.geomspace(1, 1e9, 30)
-    assert np.all(np.diff(b.eps_est(ms)) < 0)
-    assert np.all(np.diff(b.eta(ms)) < 0)
-    assert np.all(np.diff(b.t_solver(ms)) > 0)
-    assert np.all(np.diff(b.t_init(ms)) > 0)
-    assert np.all(np.diff(b.t_samp(ms)) > 0)
-    assert b.eps_model == eps_model(REFERENCE)
+    assert np.all(np.diff(eps_est(ms, REFERENCE)) < 0)
+    assert np.all(np.diff(eta_simple(ms, REFERENCE)) < 0)
 
 
 def test_no_sigma_reproduces_literal_program():

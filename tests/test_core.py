@@ -94,6 +94,12 @@ def test_weight_validation():
         WeightedSet([[0.0], [1.0]], [1.0])
 
 
+def test_weighted_set_requires_weights():
+    # a missing weights argument is a call error, not a shape complaint
+    with pytest.raises(TypeError):
+        WeightedSet([[0.0], [1.0]])
+
+
 def test_uniform_weighting_equivalence():
     rng = np.random.default_rng(3)
     for trial in range(20):
@@ -140,7 +146,6 @@ def test_types_are_immutable():
 def test_bound_radius_defaults_to_max_norm():
     data = Dataset([[3.0, 4.0], [0.0, 1.0]])
     assert data.bound_radius() == pytest.approx(5.0)
-    assert Dataset([[3.0, 4.0]], ball_radius=9.0).bound_radius() == 9.0
 
 
 def test_prefix_and_subset():

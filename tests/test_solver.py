@@ -104,11 +104,6 @@ def test_solve_determinism():
     assert np.array_equal(a.centers.centers, b.centers.centers)
     assert a.weighted_risk == b.weighted_risk
     assert a.iterations == b.iterations
-    # an integer rng overrides cfg.seed; a Generator supplies the base seed
-    c = solve(ws, cfg, rng=123)
-    assert c.weighted_risk == a.weighted_risk
-    d = solve(ws, cfg, rng=np.random.default_rng(4))
-    assert d.weighted_risk >= 0.0
 
 
 def test_solve_restarts_return_min():
