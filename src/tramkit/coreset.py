@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Centers, Dataset, WeightedSet, assign_nearest, uniform_weighted
-from .rng import derive_rng, mass_pick
+from .rng import derive_rng
+from .solver import seed_dsquared
 
 __all__ = [
     "Bicriteria",
@@ -73,39 +74,19 @@ class EtaModel:
             raise ValueError("d and k must be positive integers")
 
 
-def _dsquared_indices(pts: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
-    # unweighted D^2 sampling; duplicates fill the tail once every point
-    # is covered (zero residual mass)
-    n = pts.shape[0]
-    chosen = [int(rng.integers(n))]
-    diff = pts - pts[chosen[0]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    while len(chosen) < count:
-        total = float(d2.sum())
-        if total <= 0:
-            need = count - len(chosen)
-            chosen.extend(chosen[i % len(chosen)] for i in range(need))
-            break
-        idx = mass_pick(d2, rng)
-        chosen.append(idx)
-        diff = pts - pts[idx]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
-    return chosen
-
-
 def bicriteria_init(data: Dataset, p: CoresetParams, rng=None) -> Bicriteria:
     """D^2-sample bicriteria_factor * k rough centers and assign every point.
 
-    One sampling sweep plus one assignment pass; linear in n for fixed k, d.
+    The centers come from `seed_dsquared` on the data at uniform weights
+    (the first center uniformly at random). One sampling sweep plus one
+    assignment pass; linear in n for fixed k, d.
     """
     if rng is None:
         rng = derive_rng(p.seed, "bicriteria")
-    count = p.bicriteria_factor * p.k
-    idx = _dsquared_indices(data.points, count, rng)
-    centers = data.points[idx]
-    labels, point_costs = assign_nearest(data.points, centers)
+    centers = seed_dsquared(uniform_weighted(data), p.bicriteria_factor * p.k, rng)
+    labels, point_costs = assign_nearest(data.points, centers.centers)
     return Bicriteria(
-        centers=Centers(centers),
+        centers=centers,
         assignment=labels,
         total_cost=float(point_costs.sum()),
         point_costs=point_costs,

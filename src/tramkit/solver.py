@@ -60,11 +60,11 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
         raise ValueError("k must be >= 1")
     pts = ws.points
     chosen = [mass_pick(ws.weights, rng)]
-    d2 = np.einsum("ij,ij->i", pts - pts[chosen[0]], pts - pts[chosen[0]])
+    diff = pts - pts[chosen[0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     while len(chosen) < k:
         mass = ws.weights * d2
-        mtot = float(mass.sum())
-        if mtot <= 0:
+        if not mass.any():
             # no point carries positive D^2 mass: duplicate chosen centers
             need = k - len(chosen)
             chosen.extend(chosen[i % len(chosen)] for i in range(need))
