@@ -50,8 +50,8 @@ def _as_points(points, name: str) -> np.ndarray:
 class Dataset:
     """A dense collection of n points in R^d.
 
-    A support radius other than `bound_radius()` is not stored here; TRAM
-    takes it as `TramParams.B`.
+    It stores no support radius: `bound_radius()` is the max point norm,
+    and a caller that knows a radius passes it to TRAM as `TramParams.B`.
     """
 
     points: np.ndarray

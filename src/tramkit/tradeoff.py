@@ -33,6 +33,7 @@ __all__ = [
 
 PROCEDURES = ("uniform", "coreset")
 
+
 @dataclass(frozen=True)
 class SweepGrid:
     n_values: tuple[int, ...]
