@@ -18,7 +18,7 @@ it, which keeps both optimal-time curves non-increasing in n and in eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,8 +233,6 @@ def analytic_curves(
                 )
             )
     else:
-        from dataclasses import replace
-
         for eps in xs:
             p_eps = replace(p, eps_total=float(eps))
             core = coreset_optimum(fixed_n, p_eps)

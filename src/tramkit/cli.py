@@ -32,7 +32,14 @@ from .data import (
     split_validation,
 )
 from .solver import SolverConfig
-from .tradeoff import Lambda, SweepGrid, pareto_data_time, pareto_risk_time, run_sweep
+from .tradeoff import (
+    PROCEDURES,
+    Lambda,
+    SweepGrid,
+    pareto_data_time,
+    pareto_risk_time,
+    run_sweep,
+)
 from .tram import TramParams, run_tram
 
 
@@ -89,6 +96,16 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(
+        k=args.k,
+        max_iters=args.max_iters,
+        rel_tol=args.rel_tol,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
+
+
 def cmd_gen(args, outputs: list[str]) -> None:
     spec = SyntheticSpec(
         n=args.n,
@@ -109,18 +126,11 @@ def cmd_gen(args, outputs: list[str]) -> None:
 
 def cmd_sweep(args, outputs: list[str]) -> None:
     data = _load_dataset(args.input, args.header)
-    solver = SolverConfig(
-        k=args.k,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     grid = SweepGrid(
         n_values=tuple(args.n_values),
         s_values=tuple(args.s_values),
         procedure=args.procedure,
-        solver=solver,
+        solver=_solver_config(args),
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -165,14 +175,7 @@ def cmd_tram(args, outputs: list[str]) -> None:
         gamma_s=args.gamma_s,
         seed=args.seed,
     )
-    solver = SolverConfig(
-        k=args.k,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    trace = run_tram(train, validation, params, solver)
+    trace = run_tram(train, validation, params, _solver_config(args))
     trace.to_csv(args.trace_out)
     outputs.append(args.trace_out)
     centers_out = args.centers_out or str(
@@ -234,9 +237,9 @@ def cmd_analytic(args, outputs: list[str]) -> None:
     outputs.append(args.out)
 
 
-def _add_solver_flags(sub, restarts_default: int = 2) -> None:
+def _add_solver_flags(sub) -> None:
     sub.add_argument("--k", type=int, required=True, help="number of centers to fit")
-    sub.add_argument("--restarts", type=int, default=restarts_default)
+    sub.add_argument("--restarts", type=int, default=2)
     sub.add_argument("--max-iters", type=int, default=100)
     sub.add_argument("--rel-tol", type=float, default=1e-4)
 
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="whether the input CSV has a header row (default: sniff)",
     )
-    sweep.add_argument("--procedure", choices=["uniform", "coreset"], required=True)
+    sweep.add_argument("--procedure", choices=PROCEDURES, required=True)
     sweep.add_argument("--n-values", type=_int_list, required=True)
     sweep.add_argument("--s-values", type=_int_list, required=True)
     sweep.add_argument("--repeats", type=int, default=50)
@@ -360,15 +363,13 @@ def main(argv=None) -> int:
     manifest = {
         "command": args.command,
         "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if k != "func" and not callable(v)
+            k: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for k, v in sorted(vars(args).items())
+            if not callable(v)
         },
         "seed": getattr(args, "seed", None),
         "started": started,
         "tool_version": __version__,
-    }
-    manifest["parameters"] = {
-        k: (v.tolist() if isinstance(v, np.ndarray) else v)
-        for k, v in manifest["parameters"].items()
     }
     try:
         args.func(args, outputs)

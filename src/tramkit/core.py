@@ -1,14 +1,15 @@
 """Foundational geometry and risk evaluation.
 
-The three value types (`Dataset`, `Centers`, `WeightedSet`) are immutable
-after construction (backing arrays are read-only; a writable array passed
-in is copied first, so the caller's array stays as it was) and safe to
-share across threads. The risk operations are pure functions of their inputs.
+The three value types (`Dataset`, `Centers`, `WeightedSet`) never change
+after construction and are safe to share across threads: their public
+constructors validate a private read-only copy of what a caller passes, and
+`_wrap` takes arrays the library built from validated values without a copy
+or a scan. The risk operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,25 +26,26 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray, source) -> np.ndarray:
-    # an array the caller can still write to is copied before it is made
-    # read-only: freezing it in place would change the caller's array, and
-    # keeping it writable would let the caller change ours
-    if arr.flags.writeable and (arr is source or arr.base is not None):
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+def _wrap(cls, *arrays: np.ndarray):
+    """`cls` over arrays the library built from validated values, one per
+    field: no copy and no scan, the arrays are only made read-only."""
+    obj = object.__new__(cls)
+    for f, arr in zip(fields(cls), arrays):
+        arr.setflags(write=False)
+        object.__setattr__(obj, f.name, arr)
+    return obj
 
 
 def _as_points(points, name: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
+    arr = np.array(points, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be a non-empty (n, d) array")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite coordinates")
-    return _frozen(arr, points)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,6 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points, "points"))
-
-    @classmethod
-    def _trusted(cls, points: np.ndarray) -> "Dataset":
-        """Wrap a finite (n, d) float64 array without copying or scanning it.
-
-        Only for arrays the library built itself or views of a validated
-        Dataset's points; the array is made read-only in place.
-        """
-        points.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "points", points)
-        return obj
 
     @property
     def n(self) -> int:
@@ -88,14 +78,14 @@ class Dataset:
         """Truncation to the first m points (shares memory)."""
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix size {m} outside [1, {self.n}]")
-        return Dataset._trusted(self.points[:m])
+        return _wrap(Dataset, self.points[:m])
 
     def subset(self, idx) -> "Dataset":
         """The points at the given indices, in that order (a copy)."""
         pts = self.points[np.asarray(idx)]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("subset needs a non-empty 1-D index array")
-        return Dataset._trusted(pts)
+        return _wrap(Dataset, pts)
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,7 @@ class WeightedSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points, "points"))
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] != self.points.shape[0]:
             raise ValueError("weights must be 1-D and match the point count")
         if not np.all(np.isfinite(w)):
@@ -134,7 +124,8 @@ class WeightedSet:
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
-        object.__setattr__(self, "weights", _frozen(w, self.weights))
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -147,13 +138,7 @@ class WeightedSet:
 
 def uniform_weighted(data: Dataset) -> WeightedSet:
     """The dataset as a weighted set with weight 1/n per point."""
-    w = np.full(data.n, 1.0 / data.n)
-    return WeightedSet(data.points, w)
-
-
-def _check_dims(d_left: int, d_right: int) -> None:
-    if d_left != d_right:
-        raise ValueError(f"dimension mismatch: {d_left} != {d_right}")
+    return _wrap(WeightedSet, data.points, np.full(data.n, 1.0 / data.n))
 
 
 # Points per block of the nearest-center kernel: a block's (k, rows) score
@@ -185,7 +170,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray):
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    _check_dims(points.shape[1], centers.shape[1])
+    if points.shape[1] != centers.shape[1]:
+        raise ValueError(f"dimension mismatch: {points.shape[1]} != {centers.shape[1]}")
     n, d = points.shape
     k = centers.shape[0]
     neg2c = -2.0 * centers
@@ -244,7 +230,6 @@ def assign_nearest(points: np.ndarray, centers: np.ndarray):
 def squared_dist(x, c: Centers) -> float:
     """min over centers of the squared Euclidean distance to x."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _check_dims(x.shape[0], c.d)
     return float(min_sq_dists(x.reshape(1, -1), c.centers)[0])
 
 
@@ -254,7 +239,6 @@ def empirical_risk(data: Dataset, c: Centers) -> float:
     numpy's pairwise-summation mean keeps accumulation error negligible
     even for millions of points.
     """
-    _check_dims(data.d, c.d)
     return float(min_sq_dists(data.points, c.centers).mean())
 
 
@@ -264,5 +248,4 @@ def weighted_risk(ws: WeightedSet, c: Centers) -> float:
     With uniform weights 1/s this coincides with the empirical risk of the
     same points.
     """
-    _check_dims(ws.d, c.d)
     return float(ws.weights @ min_sq_dists(ws.points, c.centers))

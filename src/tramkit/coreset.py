@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers, Dataset, WeightedSet, assign_nearest, uniform_weighted
+from .core import Centers, Dataset, WeightedSet, _wrap, assign_nearest, uniform_weighted
 from .rng import derive_rng
 from .solver import seed_dsquared
 
@@ -28,26 +28,26 @@ __all__ = [
     "eta_bound",
 ]
 
+# the bicriteria clustering draws this many times k rough centers
+BICRITERIA_FACTOR = 2
+
 
 @dataclass(frozen=True)
 class CoresetParams:
     k: int
     size: int
     seed: int = 0
-    bicriteria_factor: int = 2
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.size < 1:
             raise ValueError("size must be >= 1")
-        if self.bicriteria_factor < 1:
-            raise ValueError("bicriteria_factor must be >= 1")
 
 
 @dataclass(frozen=True)
 class Bicriteria:
-    """Rough clustering with bicriteria_factor * k centers.
+    """Rough clustering with BICRITERIA_FACTOR * k centers.
 
     `point_costs` keeps the per-point squared distance to the assigned
     center; `total_cost` is their sum.
@@ -74,16 +74,14 @@ class EtaModel:
             raise ValueError("d and k must be positive integers")
 
 
-def bicriteria_init(data: Dataset, p: CoresetParams, rng=None) -> Bicriteria:
-    """D^2-sample bicriteria_factor * k rough centers and assign every point.
+def bicriteria_init(data: Dataset, p: CoresetParams, rng) -> Bicriteria:
+    """D^2-sample BICRITERIA_FACTOR * k rough centers and assign every point.
 
     The centers come from `seed_dsquared` on the data at uniform weights
     (the first center uniformly at random). One sampling sweep plus one
     assignment pass; linear in n for fixed k, d.
     """
-    if rng is None:
-        rng = derive_rng(p.seed, "bicriteria")
-    centers = seed_dsquared(uniform_weighted(data), p.bicriteria_factor * p.k, rng)
+    centers = seed_dsquared(uniform_weighted(data), BICRITERIA_FACTOR * p.k, rng)
     labels, point_costs = assign_nearest(data.points, centers.centers)
     return Bicriteria(
         centers=centers,
@@ -126,8 +124,9 @@ def build_coreset(data: Dataset, p: CoresetParams) -> WeightedSet:
     sigma = sensitivities(data, b)
     q = sigma / sigma.sum()
     idx = rng.choice(n, size=p.size, replace=True, p=q)
-    weights = 1.0 / (p.size * q[idx] * n)
-    return WeightedSet(data.points[idx], weights)
+    # sigma >= 1/n and sum(sigma) <= 2k + 1, so q >= 1/(n * (2k + 1)) on
+    # every index and the weights are finite and positive
+    return _wrap(WeightedSet, data.points[idx], 1.0 / (p.size * q[idx] * n))
 
 
 def eta_bound(s: int, m: EtaModel) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _wrap
 from .rng import derive_rng
 
 __all__ = [
@@ -78,7 +78,7 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     pts = means[comp]
     if spec.sigma2 > 0:
         pts = pts + rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
-    return SyntheticResult(data=Dataset._trusted(pts), means=means, weights=weights)
+    return SyntheticResult(data=_wrap(Dataset, pts), means=means, weights=weights)
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -112,7 +112,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     # every row was checked finite and rectangular above
-    return Dataset._trusted(np.asarray(rows, dtype=np.float64))
+    return _wrap(Dataset, np.asarray(rows, dtype=np.float64))
 
 
 def save_csv(data: Dataset, path, header: bool = True) -> None:

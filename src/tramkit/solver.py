@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers, WeightedSet, assign_nearest, min_sq_dists, weighted_risk
+from .core import Centers, WeightedSet, _wrap, assign_nearest, min_sq_dists
 from .rng import derive_rng, mass_pick
 
 __all__ = ["SolverConfig", "SolveResult", "seed_dsquared", "lloyd", "solve"]
@@ -53,8 +53,9 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
 
     The first center is drawn with probability proportional to weight; each
     subsequent one with probability proportional to weight times squared
-    distance to the chosen centers. If fewer than k points carry positive
-    mass, the remaining slots duplicate already-chosen centers.
+    distance to the chosen centers. Once no point carries positive D^2
+    mass, which happens when there are fewer than k distinct positive-weight
+    points, the remaining slots duplicate already-chosen centers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -73,7 +74,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
         chosen.append(idx)
         diff = pts - pts[idx]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
-    return Centers(pts[chosen])
+    return _wrap(Centers, pts[chosen])
 
 
 def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray) -> None:
@@ -122,6 +123,8 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
         history.append(risk)
         if improvement <= cfg.rel_tol * max(risk, np.finfo(float).tiny):
             break
+    # the validating constructor, not _wrap: the means are computed values,
+    # and its finiteness check is the only guard if one overflows
     return SolveResult(
         centers=Centers(centers),
         weighted_risk=risk,

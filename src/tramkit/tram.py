@@ -100,7 +100,7 @@ class TramTrace:
     final_validation_risk: float
     exhausted: bool
     total_time: float
-    params: TramParams = field(repr=False, default=None)  # type: ignore[assignment]
+    params: TramParams = field(repr=False)
 
     @property
     def J(self) -> int:

@@ -166,6 +166,17 @@ def test_dataset_leaves_caller_array_writable_and_unshared():
     assert a.flags.writeable and w.flags.writeable
     a[0, 0] = 5.0
     assert data.points[0, 0] == 1.0
+    # a read-only view of a writable base is copied too
+    base, wbase = np.ones((3, 2)), np.full(3, 1.0 / 3)
+    view, wview = base[:], wbase[:]
+    view.setflags(write=False)
+    wview.setflags(write=False)
+    ws = WeightedSet(view, wview)
+    held = [Dataset(view).points, Centers(view).centers, ws.points, ws.weights]
+    want = [x.copy() for x in held]
+    base[0, 0] = 5.0
+    wbase[0] = 5.0
+    assert all(np.array_equal(x, y) for x, y in zip(held, want))
 
 
 def test_prefix_shares_memory():

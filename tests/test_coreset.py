@@ -22,8 +22,10 @@ from oracles import brute_force_kmeans
 
 
 def test_bicriteria_single_point():
-    b = bicriteria_init(Dataset([[2.0, 3.0]]), CoresetParams(k=2, size=1, seed=0))
-    assert b.centers.k == 4  # bicriteria_factor * k duplicated centers
+    b = bicriteria_init(
+        Dataset([[2.0, 3.0]]), CoresetParams(k=2, size=1), derive_rng(0, "bicriteria")
+    )
+    assert b.centers.k == 4  # BICRITERIA_FACTOR * k duplicated centers
     assert np.all(b.centers.centers == [2.0, 3.0])
     assert b.total_cost == 0.0
 
@@ -31,7 +33,9 @@ def test_bicriteria_single_point():
 def test_bicriteria_exact_cover_has_zero_cost():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(4, 2))  # exactly factor*k distinct points
-    b = bicriteria_init(Dataset(pts), CoresetParams(k=2, size=2, seed=3))
+    b = bicriteria_init(
+        Dataset(pts), CoresetParams(k=2, size=2), derive_rng(3, "bicriteria")
+    )
     assert b.total_cost == pytest.approx(0.0, abs=1e-12)
 
 
@@ -40,7 +44,7 @@ def test_bicriteria_beats_single_centroid():
     centers = rng.uniform(0, 20, size=(4, 2))
     pts = centers[rng.integers(0, 4, 1000)] + rng.normal(0, 0.5, (1000, 2))
     data = Dataset(pts)
-    b = bicriteria_init(data, CoresetParams(k=4, size=10, seed=7))
+    b = bicriteria_init(data, CoresetParams(k=4, size=10), derive_rng(7, "bicriteria"))
     centroid_cost = empirical_risk(data, Centers(pts.mean(axis=0, keepdims=True)))
     assert b.total_cost <= centroid_cost * data.n
     assert b.total_cost == b.point_costs.sum()
@@ -50,7 +54,7 @@ def test_bicriteria_beats_single_centroid():
 def test_sensitivities_identical_points():
     n = 8
     data = Dataset(np.ones((n, 2)))
-    b = bicriteria_init(data, CoresetParams(k=2, size=2, seed=0))
+    b = bicriteria_init(data, CoresetParams(k=2, size=2), derive_rng(0, "bicriteria"))
     sigma = sensitivities(data, b)
     assert np.allclose(sigma, 1.0 / n)
 
@@ -60,7 +64,7 @@ def test_sensitivities_singleton_cluster():
     # bicriteria center: the singleton's cluster term alone is 1
     pts = np.vstack([np.zeros((9, 2)), [[100.0, 0.0]]])
     data = Dataset(pts)
-    b = bicriteria_init(data, CoresetParams(k=1, size=1, seed=2))
+    b = bicriteria_init(data, CoresetParams(k=1, size=1), derive_rng(2, "bicriteria"))
     assert b.total_cost == pytest.approx(0.0, abs=1e-9)
     sigma = sensitivities(data, b)
     sizes = np.bincount(b.assignment, minlength=b.centers.k)
@@ -73,7 +77,7 @@ def test_sensitivities_singleton_cluster():
 def test_sensitivities_bounds_on_random_instance():
     rng = np.random.default_rng(4)
     data = Dataset(rng.normal(size=(60, 3)))
-    b = bicriteria_init(data, CoresetParams(k=3, size=5, seed=5))
+    b = bicriteria_init(data, CoresetParams(k=3, size=5), derive_rng(5, "bicriteria"))
     sigma = sensitivities(data, b)
     # independent recomputation from the bicriteria fields
     sizes = np.bincount(b.assignment, minlength=b.centers.k)
@@ -145,7 +149,7 @@ def test_sensitivities_reject_foreign_bicriteria():
     rng = np.random.default_rng(20)
     data = Dataset(rng.normal(size=(40, 2)))
     other = Dataset(rng.normal(size=(25, 2)))
-    b = bicriteria_init(other, CoresetParams(k=2, size=5, seed=0))
+    b = bicriteria_init(other, CoresetParams(k=2, size=5), derive_rng(0, "bicriteria"))
     with pytest.raises(ValueError):
         sensitivities(data, b)
 
