@@ -45,9 +45,12 @@ from .tram import TramParams, run_tram
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer: {text!r}")
+    return values
 
 
 def _range_spec(text: str):
@@ -62,9 +65,12 @@ def _range_spec(text: str):
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         return np.geomspace(lo, hi, count)
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number: {text!r}")
+    return np.array(values)
 
 
 def _load_dataset(path: str, header_mode: str) -> Dataset:

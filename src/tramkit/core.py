@@ -151,7 +151,7 @@ _BLOCK_ROWS = 4096
 _TIE_SLACK = 4.0
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray):
+def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
     """Labels and squared distances of each point's nearest center.
 
     Per block of rows, one GEMM scores every center by |c|^2 - 2 x.c. That
@@ -164,9 +164,17 @@ def _nearest(points: np.ndarray, centers: np.ndarray):
     centers, large coordinate offsets, overflow) is ranked again from
     explicit differences to every center, ties going to the lowest index.
 
-    The returned distance is always the explicit |x - c_label|^2. So the
-    result equals a per-center loop of explicit differences bit for bit,
-    and a point that coincides with its center gets exactly 0.
+    The returned distance is always the explicit |x - c_label|^2, summed by
+    the same row-wise einsum as a per-center loop of explicit differences.
+    So the result equals that loop bit for bit (`tests/oracles.py`), and a
+    point that coincides with its center gets exactly 0.
+
+    `norms`, the row norms |x|, may come from a caller that assigns the
+    same points repeatedly (Lloyd); they only set the tie margin. The block
+    scratch (the (k, rows) scores, which the near-best mask overwrites, the
+    margin row, the (2, rows) tally and the (rows, d) gathered centers) is
+    allocated once per call and never shared, so concurrent calls from
+    threads are safe.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -174,27 +182,53 @@ def _nearest(points: np.ndarray, centers: np.ndarray):
         raise ValueError(f"dimension mismatch: {points.shape[1]} != {centers.shape[1]}")
     n, d = points.shape
     k = centers.shape[0]
+    if norms is None:
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     neg2c = -2.0 * centers
     cc = np.einsum("ij,ij->i", centers, centers)[:, None]
     cmax = np.sqrt(cc.max())
     slack = _TIE_SLACK * (d + 2) * np.finfo(np.float64).eps
-    center_ids = np.arange(k)
+    # one (2, k) GEMM over the near-best mask counts, per point, the
+    # centers that score near the best and sums their indices
+    tally = np.ones((2, k))
+    tally[1] = np.arange(k)
     labels = np.empty(n, dtype=np.intp)
     d2 = np.empty(n)
+    # per-call scratch, since calls may run concurrently; flat, so every
+    # block (the short last one too) takes the C-contiguous views that
+    # np.dot's out= requires
+    rows = min(n, _BLOCK_ROWS)
+    score_buf = np.empty(k * rows)
+    tally_buf = np.empty(2 * rows)
+    tol_buf = np.empty(rows)
+    diff_buf = np.empty(rows * d)
     for lo in range(0, n, _BLOCK_ROWS):
-        xb = points[lo : lo + _BLOCK_ROWS]
+        hi = min(lo + _BLOCK_ROWS, n)
+        m = hi - lo
+        xb = points[lo:hi]
         # (k, rows) scores, so each reduction over the centers is a few
         # vector operations across the block, not one short one per point
-        scores = neg2c @ xb.T
+        scores = score_buf[: k * m].reshape(k, m)
+        np.dot(neg2c, xb.T, out=scores)
         scores += cc
-        norms = np.sqrt(np.einsum("ij,ij->i", xb, xb))
         # tiny covers absolute rounding in the subnormal range
-        tol = slack * (norms + cmax) ** 2 + np.finfo(np.float64).tiny
-        near_best = scores <= scores.min(axis=0) + tol
-        # the label wherever exactly one center is near the best; NaN
-        # scores (overflow) match no center and take the exact path too
-        lab = center_ids @ near_best
-        close = np.flatnonzero(near_best.sum(axis=0) != 1)
+        tol = tol_buf[:m]
+        np.add(norms[lo:hi], cmax, out=tol)
+        np.square(tol, out=tol)
+        tol *= slack
+        tol += np.finfo(np.float64).tiny
+        tol += scores.min(axis=0)
+        # the scores become the near-best mask: 1.0 where a center scores
+        # within the margin of the best
+        np.less_equal(scores, tol, out=scores)
+        count_sum = tally_buf[: 2 * m].reshape(2, m)
+        np.dot(tally, scores, out=count_sum)
+        # the index sum is the label wherever exactly one center is near
+        # the best; NaN scores (overflow) match no center and take the
+        # exact path too
+        lab = labels[lo:hi]
+        np.copyto(lab, count_sum[1], casting="unsafe")
+        close = np.flatnonzero(count_sum[0] != 1)
         if close.size:
             xc = xb[close]
             exact = np.empty((close.size, k))
@@ -202,29 +236,33 @@ def _nearest(points: np.ndarray, centers: np.ndarray):
                 diff = xc - c
                 exact[:, j] = np.einsum("ij,ij->i", diff, diff)
             lab[close] = exact.argmin(axis=1)
-        diff = xb - centers[lab]
-        labels[lo : lo + _BLOCK_ROWS] = lab
-        d2[lo : lo + _BLOCK_ROWS] = np.einsum("ij,ij->i", diff, diff)
+        diff = diff_buf[: m * d].reshape(m, d)
+        # mode="clip" writes straight into out (the labels are in range)
+        np.take(centers, lab, axis=0, out=diff, mode="clip")
+        np.subtract(xb, diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=d2[lo:hi])
     return labels, d2
 
 
-def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.ndarray:
     """Per-point squared distance to the nearest of the given centers.
 
     The distance is computed from explicit differences to the nearest
     center, which a GEMM ranking with an exact fallback for near ties
-    selects (see `_nearest`); coinciding points give exactly 0.
+    selects (see `_nearest`); coinciding points give exactly 0. `_norms`
+    is the library's own channel for the points' precomputed row norms.
     """
-    return _nearest(points, centers)[1]
+    return _nearest(points, centers, _norms)[1]
 
 
-def assign_nearest(points: np.ndarray, centers: np.ndarray):
+def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None):
     """Nearest-center labels and squared distances.
 
     Ties break toward the lowest center index (argmin convention); the
-    distances are the same values `min_sq_dists` returns.
+    distances are the same values `min_sq_dists` returns. `_norms` is the
+    library's own channel for the points' precomputed row norms.
     """
-    return _nearest(points, centers)
+    return _nearest(points, centers, _norms)
 
 
 def squared_dist(x, c: Centers) -> float:

@@ -56,15 +56,23 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     distance to the chosen centers. Once no point carries positive D^2
     mass, which happens when there are fewer than k distinct positive-weight
     points, the remaining slots duplicate already-chosen centers.
+
+    One difference, one distance and one mass buffer, allocated per call,
+    serve every center. The arithmetic is that of a loop allocating fresh
+    arrays per center, so it draws the same indices (`tests/oracles.py`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = ws.points
-    chosen = [mass_pick(ws.weights, rng)]
-    diff = pts - pts[chosen[0]]
+    pts, w = ws.points, ws.weights
+    chosen = [mass_pick(w, rng)]
+    # in the points' memory layout, on which einsum's summation order depends
+    diff = np.empty_like(pts)
+    dist = np.empty(ws.size)
+    mass = np.empty(ws.size)
+    np.subtract(pts, pts[chosen[0]], out=diff)
     d2 = np.einsum("ij,ij->i", diff, diff)
     while len(chosen) < k:
-        mass = ws.weights * d2
+        np.multiply(w, d2, out=mass)
         if not mass.any():
             # no point carries positive D^2 mass: duplicate chosen centers
             need = k - len(chosen)
@@ -72,17 +80,18 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
             break
         idx = mass_pick(mass, rng)
         chosen.append(idx)
-        diff = pts - pts[idx]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        np.subtract(pts, pts[idx], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=dist)
+        np.minimum(d2, dist, out=d2)
     return _wrap(Centers, pts[chosen])
 
 
-def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray) -> None:
+def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, norms) -> None:
     # a dead center is re-placed at the positive-weight point with the
     # largest weighted squared distance to its nearest center, updating
     # distances between repairs so two dead centers never grab one point
     for j in sorted(empties):
-        score = w * min_sq_dists(pts, centers)
+        score = w * min_sq_dists(pts, centers, _norms=norms)
         score[w <= 0] = -1.0
         centers[j] = pts[int(score.argmax())]
 
@@ -94,28 +103,37 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
     when the relative risk improvement drops below cfg.rel_tol or after
     cfg.max_iters iterations. The weighted risk never increases across an
     iteration.
+
+    Once per call it builds the weighted points as contiguous (d, n) rows,
+    so each update's per-coordinate `bincount` streams one row, and the row
+    norms that every assignment and empty-cluster repair takes for its tie
+    margin. The centers, risk history and iteration count equal, bit for
+    bit, those of a loop that assigns with the per-center oracle and sums
+    strided columns of (n, d) weighted points (`tests/oracles.py`).
     """
     if ws.d != init.d:
         raise ValueError("dimension mismatch between points and centers")
     pts, w = ws.points, ws.weights
     k = init.k
     centers = np.array(init.centers, dtype=np.float64)
-    wp = w[:, None] * pts
+    wpt = np.empty((ws.d, ws.size))
+    np.multiply(pts.T, w, out=wpt)
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
 
-    labels, d2 = assign_nearest(pts, centers)
+    labels, d2 = assign_nearest(pts, centers, _norms=norms)
     risk = float(w @ d2)
     history = [risk]
     iterations = 0
     for _ in range(cfg.max_iters):
         wsum = np.bincount(labels, weights=w, minlength=k)
         empties = np.flatnonzero(wsum <= 0)
-        for dim in range(pts.shape[1]):
-            centers[:, dim] = np.bincount(labels, weights=wp[:, dim], minlength=k)
+        for dim, row in enumerate(wpt):
+            centers[:, dim] = np.bincount(labels, weights=row, minlength=k)
         alive = wsum > 0
         centers[alive] /= wsum[alive, None]
         if empties.size:
-            _repair_empty(centers, empties, pts, w)
-        labels, d2 = assign_nearest(pts, centers)
+            _repair_empty(centers, empties, pts, w, norms)
+        labels, d2 = assign_nearest(pts, centers, _norms=norms)
         new_risk = float(w @ d2)
         iterations += 1
         improvement = risk - new_risk

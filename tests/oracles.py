@@ -71,3 +71,72 @@ def nearest_center_per_center(points, centers):
         dists[:, j] = np.einsum("ij,ij->i", diff, diff)
     labels = dists.argmin(axis=1)
     return labels, dists[np.arange(pts.shape[0]), labels]
+
+
+def lloyd_reference(points, weights, init, max_iters, rel_tol):
+    """Weighted Lloyd built from the per-center assignment oracle.
+
+    Each iteration takes fresh arrays: a column-wise weighted `bincount`
+    update over the (n, d) weighted points, then the solver's repair rule
+    for centers left without weight (re-place each, in index order, at the
+    positive-weight point of largest weighted squared distance). Points are
+    taken C-ordered, the layout whose einsum the kernel reproduces.
+    Returns (centers, history, iterations, repairs).
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    centers = np.array(init, dtype=np.float64)
+    k = centers.shape[0]
+    wp = w[:, None] * pts
+    labels, d2 = nearest_center_per_center(pts, centers)
+    risk = float(w @ d2)
+    history = [risk]
+    iterations = repairs = 0
+    for _ in range(max_iters):
+        wsum = np.bincount(labels, weights=w, minlength=k)
+        for dim in range(pts.shape[1]):
+            centers[:, dim] = np.bincount(labels, weights=wp[:, dim], minlength=k)
+        alive = wsum > 0
+        centers[alive] /= wsum[alive, None]
+        for j in np.flatnonzero(~alive):
+            score = w * nearest_center_per_center(pts, centers)[1]
+            score[w <= 0] = -1.0
+            centers[j] = pts[int(score.argmax())]
+            repairs += 1
+        labels, d2 = nearest_center_per_center(pts, centers)
+        new_risk = float(w @ d2)
+        iterations += 1
+        improvement = risk - new_risk
+        risk = new_risk
+        history.append(risk)
+        if improvement <= rel_tol * max(risk, np.finfo(float).tiny):
+            break
+    return centers, tuple(history), iterations, repairs
+
+
+def dsquared_reference(points, weights, k, rng):
+    """Weighted k-means++ indices, allocating fresh arrays per center.
+
+    Each draw picks index i with probability mass[i] / sum(mass) by
+    searching the cumulative sum, scaled by its last entry; once no point
+    carries mass the chosen indices repeat in order.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+
+    def pick(mass):
+        cdf = np.cumsum(mass)
+        return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+
+    chosen = [pick(w)]
+    diff = pts - pts[chosen[0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    while len(chosen) < k:
+        mass = w * d2
+        if not mass.any():
+            chosen.extend(chosen[i % len(chosen)] for i in range(k - len(chosen)))
+            break
+        chosen.append(pick(mass))
+        diff = pts - pts[chosen[-1]]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    return chosen

@@ -278,6 +278,34 @@ def test_analytic_bad_range_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--n-values", "--s-values"])
+def test_sweep_empty_value_list_is_usage_error(tmp_path, capsys, flag):
+    data = tmp_path / "data.csv"
+    write_blobs(data, n=100)
+    values = {"--n-values": "50", "--s-values": "10", flag: ","}
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "sweep",
+                "--input", str(data),
+                "--n-values", values["--n-values"],
+                "--s-values", values["--s-values"],
+                "--k", "2",
+                "--out", str(tmp_path / "lam.csv"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected at least one integer" in capsys.readouterr().err
+
+
+def test_analytic_empty_range_list_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--mode", "data-time", "--range", ",", "--out",
+              str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --range: expected at least one number" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

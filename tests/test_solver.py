@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from tramkit import (
     uniform_weighted,
     weighted_risk,
 )
+from tramkit.core import _BLOCK_ROWS, assign_nearest
 from tramkit.rng import derive_rng
 
-from oracles import brute_force_kmeans
+from oracles import brute_force_kmeans, dsquared_reference, lloyd_reference
 
 
 def test_seeding_single_point():
@@ -175,3 +178,103 @@ def test_solver_config_validation():
         SolverConfig(k=1, restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(k=1, rel_tol=-1.0)
+
+
+def _mixture(seed, n, d, k_true, spread=3.0):
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(0, 100, size=(k_true, d))
+    return means[rng.integers(0, k_true, size=n)] + spread * rng.normal(size=(n, d))
+
+
+def _lloyd_cases():
+    n = 3 * _BLOCK_ROWS + 7
+    pts = _mixture(31, n, 6, 8)
+    uniform = np.full(n, 1.0 / n)
+    w = np.random.default_rng(32).exponential(size=n)
+    w[::5] = 0.0
+    init = pts[[0, 1, 2, 3, 4, 5, 6, 7]]
+    # the second copy of a duplicated center and one far from every point
+    # win no point at the first assignment
+    dup = np.vstack([pts[:3], pts[:2], pts[3:5] + 1e3])
+    tiny = np.array([[2.0, -1.0]])
+    return {
+        "mixture": (pts, uniform, init, 1e-6),
+        "weights_with_zeros": (pts, w, init, 0.0),
+        "empty_cluster_repair": (pts, w, dup, 0.0),
+        "k_1": (pts, uniform, pts[:1], 0.0),
+        "n_1": (tiny, np.ones(1), np.vstack([tiny, tiny + 1.0]), 0.0),
+        "fortran_ordered": (np.asfortranarray(pts), uniform, init, 0.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_lloyd_cases()))
+def test_lloyd_equals_per_center_reference_bit_for_bit(case):
+    pts, w, init, rel_tol = _lloyd_cases()[case]
+    ws = WeightedSet(pts, w)
+    # the layout reaches the solver
+    assert ws.points.flags.c_contiguous == (case != "fortran_ordered")
+    cfg = SolverConfig(k=init.shape[0], max_iters=25, rel_tol=rel_tol)
+    res = lloyd(ws, Centers(init), cfg)
+    centers, history, iterations, repairs = lloyd_reference(pts, w, init, 25, rel_tol)
+    assert res.history == history
+    assert res.iterations == iterations
+    assert np.array_equal(res.centers.centers, centers)
+    assert (repairs > 0) == (case in ("empty_cluster_repair", "n_1"))
+
+
+def _seeding_cases():
+    pts = _mixture(33, 5000, 4, 6)
+    w = np.random.default_rng(34).uniform(size=5000)
+    w[::3] = 0.0
+    few = np.repeat(np.array([[0.0, 1.0], [3.0, 3.0], [-2.0, 5.0]]), [4, 1, 6], axis=0)
+    return {
+        "mixture": (pts, np.full(5000, 1.0 / 5000), 12),
+        "zero_weights": (pts, w, 12),
+        "fewer_distinct_points_than_k": (few, np.ones(len(few)), 7),
+        "fortran_ordered": (np.asfortranarray(pts), w, 12),
+    }
+
+
+@pytest.mark.parametrize("case", list(_seeding_cases()))
+def test_seed_dsquared_picks_the_reference_indices(case):
+    pts, w, k = _seeding_cases()[case]
+    ws = WeightedSet(pts, w)
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chosen = dsquared_reference(pts, w, k, ref_rng)
+        assert np.array_equal(seed_dsquared(ws, k, rng).centers, pts[chosen])
+        assert w[chosen].min() > 0
+        # both consumed the same number of draws
+        assert rng.random() == ref_rng.random()
+
+
+def test_kernel_and_solve_are_thread_safe():
+    # per-call scratch: concurrent calls on different inputs must each get
+    # the serial result, which shared buffers would mix up
+    inputs = []
+    for i in range(4):
+        pts = _mixture(40 + i, 2 * _BLOCK_ROWS + 3, 5, 6)
+        cs = _mixture(50 + i, 6, 5, 6)
+        inputs.append((pts, cs, uniform_weighted(Dataset(pts))))
+    cfg = SolverConfig(k=6, max_iters=15, rel_tol=0.0, restarts=2)
+
+    def work(i):
+        pts, cs, ws = inputs[i]
+        labels, d2 = assign_nearest(pts, cs)
+        res = solve(ws, cfg)
+        return labels, d2, res.centers.centers, res.history
+
+    serial = [work(i) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, i % 4) for i in range(12)]
+            results = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in enumerate(results):
+        want = serial[i % 4]
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == want[3]
