@@ -2,9 +2,10 @@
 
 The three value types (`Dataset`, `Centers`, `WeightedSet`) never change
 after construction and are safe to share across threads: their public
-constructors validate a private read-only copy of what a caller passes, and
-`_wrap` takes arrays the library built from validated values without a copy
-or a scan. The risk operations are pure functions of their inputs.
+constructors validate a private, read-only, C-ordered copy of what a caller
+passes, and `_wrap` takes arrays the library built from validated values
+without a copy or a scan. The risk operations are pure functions of their
+inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ def _wrap(cls, *arrays: np.ndarray):
 
 
 def _as_points(points, name: str) -> np.ndarray:
-    arr = np.array(points, dtype=np.float64)
+    # C order whatever the caller's layout: einsum's summation order, and
+    # so the last bit of a squared distance, follows the layout
+    arr = np.array(points, dtype=np.float64, order="C")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:

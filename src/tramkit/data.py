@@ -81,12 +81,51 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     return SyntheticResult(data=_wrap(Dataset, pts), means=means, weights=weights)
 
 
+# Rows that `save_csv` turns into Python floats at a time: about a megabyte
+# of floats at d = 10, where the whole array would hold 22 MB at 60k points.
+_WRITE_ROWS = 4096
+
+
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Parse a rectangular numeric CSV into a Dataset.
 
     Rejects ragged rows, non-numeric fields, and non-finite values with an
     error naming the offending row (1-based, counting the header if any).
+
+    A plain numeric file is read by `np.loadtxt`, whose fields parse to the
+    same doubles as `float()`, and checked finite in one scan. Any file it
+    rejects, reads as empty or finds non-finite (ragged rows, quoted
+    fields, `1_0`, whitespace-only lines, `nan`, `1e309`, a header with a
+    quote) is parsed again row by row with `csv.reader`, which accepts the
+    same files and raises the same messages at the same rows as it always
+    has. `#` starts no comment: such a line is a non-numeric field.
     """
+    arr = None
+    with open(path, newline="") as fh:
+        # a quote may open a header field that spans lines, which only
+        # csv.reader follows; a file without data rows would make
+        # np.loadtxt warn, and the row parser raises "no data rows"
+        header = fh.readline() if has_header else ""
+        if '"' not in header and any(line.strip() for line in iter(fh.readline, "")):
+            fh.seek(0)
+            try:
+                arr = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    skiprows=int(has_header),
+                    ndmin=2,
+                    dtype=np.float64,
+                    comments=None,
+                )
+            except ValueError:
+                pass
+    if arr is not None and arr.size and np.isfinite(arr).all():
+        return _wrap(Dataset, arr)
+    return _wrap(Dataset, _parse_rows(path, has_header))
+
+
+def _parse_rows(path, has_header: bool) -> np.ndarray:
+    # load_csv's row-by-row parser, the arbiter of what a valid file is
     rows: list[list[float]] = []
     d = None
     with open(path, newline="") as fh:
@@ -112,17 +151,23 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     # every row was checked finite and rectangular above
-    return _wrap(Dataset, np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_csv(data: Dataset, path, header: bool = True) -> None:
-    """Write one point per row; repr-formatted floats round-trip exactly."""
+    """Write one point per row; repr-formatted floats round-trip exactly.
+
+    The bytes are those of `csv.writer`: each float's repr, comma-separated,
+    rows ending in CRLF. Rows go out in chunks of `_WRITE_ROWS`, each
+    turned into Python floats at once, so the conversion never holds more
+    than one chunk.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow([f"x{j}" for j in range(data.d)])
-        for row in data.points:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(f"x{j}" for j in range(data.d)) + "\r\n")
+        for lo in range(0, data.n, _WRITE_ROWS):
+            chunk = data.points[lo : lo + _WRITE_ROWS].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in chunk)
 
 
 def save_mixture_meta(result: SyntheticResult, path) -> None:

@@ -4,6 +4,9 @@ Everything here is written against the math directly (plain enumeration,
 no library calls) so it stays independent of the code paths it checks.
 """
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -119,9 +122,10 @@ def dsquared_reference(points, weights, k, rng):
 
     Each draw picks index i with probability mass[i] / sum(mass) by
     searching the cumulative sum, scaled by its last entry; once no point
-    carries mass the chosen indices repeat in order.
+    carries mass the chosen indices repeat in order. Points are taken
+    C-ordered, the layout the library copies every input to.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
 
     def pick(mass):
@@ -140,3 +144,15 @@ def dsquared_reference(points, weights, k, rng):
         diff = pts - pts[chosen[-1]]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return chosen
+
+
+def csv_writer_bytes(points, header=True):
+    """The file `csv.writer` makes of the points, one repr per float and an
+    x0, x1, ... header: the bytes `save_csv` must write."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow([f"x{j}" for j in range(points.shape[1])])
+    for row in points:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from tramkit.cli import main
+from tramkit import cli
+from tramkit.cli import _load_dataset, main
 from tramkit.data import gen_synthetic, SyntheticSpec, save_csv
+
+from oracles import csv_writer_bytes
 
 
 def read_rows(path):
@@ -45,6 +48,42 @@ def test_gen_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_file_reloads_bit_for_bit(tmp_path):
+    out = tmp_path / "data.csv"
+    args = ["gen", "--n", "5000", "--d", "4", "--k-true", "6", "--seed", "9"]
+    assert main(args + ["--out", str(out)]) == 0
+    want = gen_synthetic(SyntheticSpec(n=5000, d=4, k_true=6, seed=9)).data.points
+    got = _load_dataset(str(out), "auto").points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_tram_centers_file_is_csv_writer_rendering(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    write_blobs(data, n=400)
+    real_run_tram = cli.run_tram
+    traces = []
+
+    def run_tram(*args, **kwargs):
+        traces.append(real_run_tram(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_tram", run_tram)
+    centers = tmp_path / "centers.csv"
+    rc = main(
+        [
+            "tram",
+            "--input", str(data),
+            "--eps", "0.55",
+            "--k", "3",
+            "--seed", "4",
+            "--trace-out", str(tmp_path / "trace.csv"),
+            "--centers-out", str(centers),
+        ]
+    )
+    assert rc == 0
+    assert centers.read_bytes() == csv_writer_bytes(traces[0].final_centers.centers)
 
 
 def test_gen_missing_flag_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tramkit import Dataset, SyntheticSpec, gen_synthetic, load_csv, save_csv, split_validation
-from tramkit.data import save_mixture_meta
+from tramkit.data import _WRITE_ROWS, save_mixture_meta
+
+from oracles import csv_writer_bytes
 
 
 def test_sigma_zero_collapses_to_means():
@@ -87,6 +91,90 @@ def test_csv_round_trip(tmp_path):
     save_csv(data, f)
     back = load_csv(f, has_header=True)
     assert np.array_equal(back.points, data.points)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_save_csv_bytes_match_csv_writer(tmp_path):
+    values = [1e-300, 5e-324, -0.0, 1 / 3, 1e16, 1e22, 2.5e-7, -1.5, 0.0, 123456789.125]
+    pts = np.array(values).reshape(5, 2)
+    f = tmp_path / "special.csv"
+    for header in (True, False):
+        save_csv(Dataset(pts), f, header=header)
+        assert f.read_bytes() == csv_writer_bytes(pts, header)
+        assert same_bits(load_csv(f, has_header=header).points, pts)
+
+
+@pytest.mark.parametrize("n", [1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1])
+def test_save_csv_chunk_boundaries(tmp_path, n):
+    pts = np.random.default_rng(n).normal(size=(n, 3)) * 1e3
+    f = tmp_path / "rows.csv"
+    for header in (True, False):
+        save_csv(Dataset(pts), f, header=header)
+        assert f.read_bytes() == csv_writer_bytes(pts, header)
+        back = load_csv(f, has_header=header).points
+        assert same_bits(back, pts)
+        assert back.flags.c_contiguous
+
+
+def test_csv_round_trip_is_bit_exact(tmp_path):
+    # arbitrary finite doubles: subnormals, -0.0 and every exponent
+    bits = np.random.default_rng(10).integers(0, 2**64, size=(300, 4), dtype=np.uint64)
+    pts = bits.view(np.float64)
+    pts[~np.isfinite(pts)] = -0.0
+    f = tmp_path / "bits.csv"
+    save_csv(Dataset(pts), f)
+    assert same_bits(load_csv(f, has_header=True).points, pts)
+
+
+def test_csv_round_trip_property(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    f = tmp_path / "prop.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, shapes, elements=finite), st.booleans())
+    def round_trip(pts, header):
+        save_csv(Dataset(pts), f, header=header)
+        assert same_bits(load_csv(f, has_header=header).points, pts)
+
+    round_trip()
+
+
+def test_load_csv_hash_line_is_a_non_numeric_field(tmp_path):
+    f = tmp_path / "hash.csv"
+    f.write_text("1,2\n#3,4\n5,6\n")
+    with pytest.raises(ValueError, match=r"row 2: non-numeric field"):
+        load_csv(f)
+
+
+def test_load_csv_row_parser_inputs_load_as_before(tmp_path):
+    f = tmp_path / "odd.csv"
+    want = np.array([[1.0, 2.0], [10.0, 4.0]])
+    # quoted fields, an underscore digit separator, whitespace-only lines
+    for text in ('"1","2"\n1_0,4\n', "1,2\n   \n10,4\n", "x,y\n1,2\n\t\n10,4\n \n"):
+        f.write_text(text)
+        got = load_csv(f, has_header=text.startswith("x")).points
+        assert same_bits(got, want)
+        assert got.flags.c_contiguous
+
+
+def test_load_csv_header_only_raises_without_warning(tmp_path):
+    f = tmp_path / "header.csv"
+    # the last header's quote never closes, so its field takes the file
+    for text in ("x0,x1\r\n", "x0,x1\r\n\r\n\r\n", "x0,x1\n  \n", '"x0,x1\n1,2\n'):
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(f, has_header=True)
 
 
 def test_mixture_meta_sidecar(tmp_path):

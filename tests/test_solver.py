@@ -211,8 +211,8 @@ def _lloyd_cases():
 def test_lloyd_equals_per_center_reference_bit_for_bit(case):
     pts, w, init, rel_tol = _lloyd_cases()[case]
     ws = WeightedSet(pts, w)
-    # the layout reaches the solver
-    assert ws.points.flags.c_contiguous == (case != "fortran_ordered")
+    # every layout is copied to C order
+    assert ws.points.flags.c_contiguous
     cfg = SolverConfig(k=init.shape[0], max_iters=25, rel_tol=rel_tol)
     res = lloyd(ws, Centers(init), cfg)
     centers, history, iterations, repairs = lloyd_reference(pts, w, init, 25, rel_tol)
@@ -220,6 +220,10 @@ def test_lloyd_equals_per_center_reference_bit_for_bit(case):
     assert res.iterations == iterations
     assert np.array_equal(res.centers.centers, centers)
     assert (repairs > 0) == (case in ("empty_cluster_repair", "n_1"))
+    # the same values in C order give the same result
+    c_res = lloyd(WeightedSet(np.ascontiguousarray(pts), w), Centers(init), cfg)
+    assert c_res.history == res.history
+    assert np.array_equal(c_res.centers.centers, res.centers.centers)
 
 
 def _seeding_cases():
@@ -246,6 +250,58 @@ def test_seed_dsquared_picks_the_reference_indices(case):
         assert w[chosen].min() > 0
         # both consumed the same number of draws
         assert rng.random() == ref_rng.random()
+
+
+def _layout_split_instance():
+    """Points, weights and a seed whose second D^2 draw, in a loop that sums
+    in the caller's layout, picks differently for the same values in C and
+    Fortran order; None where the two layouts sum alike.
+
+    Point 1's squared distance to point 0 differs in the last bit between
+    the layouts. Point 2 lies at distance exactly 1, and its weight puts
+    the second draw between the two values; point 0's weight makes it the
+    first draw.
+    """
+    gen = np.random.default_rng(60)
+    for _ in range(50):
+        pts = np.zeros((3, 10))
+        pts[1] = gen.normal(size=10) * 10
+        pts[2, 0] = 1.0
+        d2 = {}
+        for order in "CF":
+            diff = np.asarray(pts, order=order) - pts[0]
+            d2[order] = np.einsum("ij,ij->i", diff, diff)[1]
+        if d2["C"] != d2["F"]:
+            break
+    else:
+        return None
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        u0, u1 = rng.random(), rng.random()
+        if u0 >= 0.5:
+            continue
+        b = d2["C"] * (1 - u1) / u1
+        for _ in range(64):
+            picks = {
+                o: np.searchsorted(np.cumsum([0.0, a, b]), u1 * (a + b), side="right")
+                for o, a in d2.items()
+            }
+            if picks["C"] != picks["F"]:
+                return pts, np.array([4 * (1 + b), 1.0, b]), seed
+            b = np.nextafter(b, np.inf if picks["C"] == 2 else -np.inf)
+    return None
+
+
+def test_seed_dsquared_does_not_depend_on_memory_layout():
+    instance = _layout_split_instance()
+    if instance is None:
+        pytest.skip("einsum sums C and Fortran rows alike here")
+    pts, w, seed = instance
+    got = [
+        seed_dsquared(WeightedSet(layout(pts), w), 2, np.random.default_rng(seed)).centers
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+    assert np.array_equal(got[0], got[1])
 
 
 def test_kernel_and_solve_are_thread_safe():
