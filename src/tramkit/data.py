@@ -92,62 +92,72 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     Rejects ragged rows, non-numeric fields, and non-finite values with an
     error naming the offending row (1-based, counting the header if any).
 
-    A plain numeric file is read by `np.loadtxt`, whose fields parse to the
-    same doubles as `float()`, and checked finite in one scan. Any file it
-    rejects, reads as empty or finds non-finite (ragged rows, quoted
-    fields, `1_0`, whitespace-only lines, `nan`, `1e309`, a header with a
-    quote) is parsed again row by row with `csv.reader`, which accepts the
-    same files and raises the same messages at the same rows as it always
-    has. `#` starts no comment: such a line is a non-numeric field.
+    The file is opened once. If it is seekable, a plain numeric file is
+    read by `np.loadtxt`, whose fields parse to the same doubles as
+    `float()`, and checked finite in one scan. Any file it rejects, reads
+    as empty or finds non-finite (ragged rows, quoted fields, `1_0`,
+    whitespace-only lines, `nan`, `1e309`, a header with a quote) is
+    parsed again from the start, row by row with `csv.reader`, which
+    accepts the same files and raises the same messages at the same rows
+    as it always has. A stream that cannot seek (a pipe, `/dev/stdin`)
+    goes to the row parser in one pass. `#` starts no comment: such a
+    line is a non-numeric field.
     """
-    arr = None
     with open(path, newline="") as fh:
-        # a quote may open a header field that spans lines, which only
-        # csv.reader follows; a file without data rows would make
-        # np.loadtxt warn, and the row parser raises "no data rows"
-        header = fh.readline() if has_header else ""
-        if '"' not in header and any(line.strip() for line in iter(fh.readline, "")):
+        if fh.seekable():
+            arr = _load_plain(fh, has_header)
+            if arr is not None:
+                return _wrap(Dataset, arr)
             fh.seek(0)
-            try:
-                arr = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    skiprows=int(has_header),
-                    ndmin=2,
-                    dtype=np.float64,
-                    comments=None,
-                )
-            except ValueError:
-                pass
-    if arr is not None and arr.size and np.isfinite(arr).all():
-        return _wrap(Dataset, arr)
-    return _wrap(Dataset, _parse_rows(path, has_header))
+        return _wrap(Dataset, _parse_rows(fh, path, has_header))
 
 
-def _parse_rows(path, has_header: bool) -> np.ndarray:
+def _load_plain(fh, has_header: bool):
+    # np.loadtxt's array when it reads the file as finite rows, else None;
+    # a quote may open a header field that spans lines, which only
+    # csv.reader follows, and a file without data rows would make
+    # np.loadtxt warn, so both go to the row parser untried
+    header = fh.readline() if has_header else ""
+    if '"' in header or not any(line.strip() for line in iter(fh.readline, "")):
+        return None
+    fh.seek(0)
+    try:
+        arr = np.loadtxt(
+            fh,
+            delimiter=",",
+            skiprows=int(has_header),
+            ndmin=2,
+            dtype=np.float64,
+            comments=None,
+        )
+    except ValueError:
+        return None
+    return arr if arr.size and np.isfinite(arr).all() else None
+
+
+def _parse_rows(fh, path, has_header: bool) -> np.ndarray:
     # load_csv's row-by-row parser, the arbiter of what a valid file is
     rows: list[list[float]] = []
     d = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue  # tolerate blank lines
-            try:
-                values = [float(f) for f in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: non-numeric field ({exc})") from None
-            if any(not math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: row {lineno}: non-finite value")
-            if d is None:
-                d = len(values)
-            elif len(values) != d:
-                raise ValueError(
-                    f"{path}: row {lineno}: expected {d} fields, got {len(values)}"
-                )
-            rows.append(values)
+    reader = csv.reader(fh)
+    for lineno, row in enumerate(reader, start=1):
+        if has_header and lineno == 1:
+            continue
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue  # tolerate blank lines
+        try:
+            values = [float(f) for f in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: non-numeric field ({exc})") from None
+        if any(not math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: row {lineno}: non-finite value")
+        if d is None:
+            d = len(values)
+        elif len(values) != d:
+            raise ValueError(
+                f"{path}: row {lineno}: expected {d} fields, got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     # every row was checked finite and rectangular above

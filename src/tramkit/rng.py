@@ -33,7 +33,7 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(stable_seed(*parts))
 
 
-def mass_pick(mass: np.ndarray, rng: np.random.Generator, *, _cdf=None) -> int:
+def mass_pick(mass: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn with probability mass[i]/sum(mass); mass must be >= 0
     with a positive sum.
 
@@ -41,9 +41,6 @@ def mass_pick(mass: np.ndarray, rng: np.random.Generator, *, _cdf=None) -> int:
     per-call validation and normalization, which dominate tight sampling
     loops. The draw is scaled by the cumulative sum's own last entry, so it
     always lands below it and the index is in range with positive mass.
-    `_cdf` is the library's own channel for a float64 buffer of mass's
-    length that receives the cumulative sum, so a caller drawing many times
-    allocates it once; the draw is the same with or without it.
     """
-    cdf = np.cumsum(mass, out=_cdf)
+    cdf = np.cumsum(mass)
     return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))

@@ -57,16 +57,14 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     mass, which happens when there are fewer than k distinct positive-weight
     points, the remaining slots duplicate already-chosen centers.
 
-    One difference, one distance, one mass and one cumulative-sum buffer,
-    allocated per call, serve every center. The arithmetic is that of a
-    loop allocating fresh arrays per center, so it draws the same indices
-    (`tests/oracles.py`).
+    One difference, one distance and one mass buffer, allocated per call,
+    serve every center. The arithmetic is that of a loop allocating fresh
+    arrays per center, so it draws the same indices (`tests/oracles.py`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     pts, w = ws.points, ws.weights
-    cdf = np.empty(ws.size)
-    chosen = [mass_pick(w, rng, _cdf=cdf)]
+    chosen = [mass_pick(w, rng)]
     diff = np.empty(pts.shape)
     dist = np.empty(ws.size)
     mass = np.empty(ws.size)
@@ -79,7 +77,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
             need = k - len(chosen)
             chosen.extend(chosen[i % len(chosen)] for i in range(need))
             break
-        idx = mass_pick(mass, rng, _cdf=cdf)
+        idx = mass_pick(mass, rng)
         chosen.append(idx)
         np.subtract(pts, pts[idx], out=diff)
         np.einsum("ij,ij->i", diff, diff, out=dist)

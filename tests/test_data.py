@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -175,6 +177,37 @@ def test_load_csv_header_only_raises_without_warning(tmp_path):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no data rows"):
                 load_csv(f, has_header=True)
+
+
+def _load_through_fifo(path, text, has_header):
+    # a named pipe cannot seek and can be read only once
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return load_csv(path, has_header=has_header)
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("has_header", [True, False])
+def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
+    pts = np.random.default_rng(12).normal(size=(50, 3)) * 1e3
+    f = tmp_path / "pts.csv"
+    save_csv(Dataset(pts), f, header=has_header)
+    got = _load_through_fifo(tmp_path / "plain.fifo", f.read_text(), has_header)
+    assert same_bits(got.points, pts)
+    head = "x,y\n" if has_header else ""
+    got = _load_through_fifo(tmp_path / "quoted.fifo", head + '"1","2"\n1_0,4\n', has_header)
+    assert same_bits(got.points, np.array([[1.0, 2.0], [10.0, 4.0]]))
+    with pytest.raises(ValueError, match=f"row {2 + has_header}: non-numeric field"):
+        _load_through_fifo(tmp_path / "bad.fifo", head + "1,2\n#3,4\n", has_header)
 
 
 def test_mixture_meta_sidecar(tmp_path):

@@ -28,13 +28,3 @@ def test_stable_seed_numpy_integers_match_python_ints():
 
 def test_stable_seed_python_int_stream_is_pinned():
     assert stable_seed(0, "restart", 1) == 625221052342883666
-
-
-def test_mass_pick_cdf_buffer_draws_the_same():
-    gen = np.random.default_rng(1)
-    plain, buffered = np.random.default_rng(2), np.random.default_rng(2)
-    cdf = np.empty(500)
-    for _ in range(200):
-        mass = gen.exponential(size=500)
-        mass[gen.random(500) < 0.3] = 0.0
-        assert mass_pick(mass, plain) == mass_pick(mass, buffered, _cdf=cdf)
