@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,6 +24,7 @@ from .analytic import AnalyticParams, analytic_curves
 from .core import Dataset
 from .data import (
     SyntheticSpec,
+    _write_table,
     gen_synthetic,
     load_csv,
     save_csv,
@@ -73,17 +73,8 @@ def _range_spec(text: str):
     return np.array(values)
 
 
-def _load_dataset(path: str, header_mode: str) -> Dataset:
-    """Read a dataset CSV; 'auto' sniffs whether the first row is a header."""
-    if header_mode == "auto":
-        with open(path) as fh:
-            first = fh.readline()
-        try:
-            [float(tok) for tok in first.strip().split(",") if tok.strip()]
-            header_mode = "no"
-        except ValueError:
-            header_mode = "yes"
-    return load_csv(path, has_header=header_mode == "yes")
+# --header choices as load_csv's has_header; None decides from the first row
+_HAS_HEADER = {"auto": None, "yes": True, "no": False}
 
 
 def _manifest_path(primary_out: str) -> Path:
@@ -131,7 +122,7 @@ def cmd_gen(args, outputs: list[str]) -> None:
 
 
 def cmd_sweep(args, outputs: list[str]) -> None:
-    data = _load_dataset(args.input, args.header)
+    data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
     grid = SweepGrid(
         n_values=tuple(args.n_values),
         s_values=tuple(args.s_values),
@@ -155,19 +146,15 @@ def cmd_pareto(args, outputs: list[str]) -> None:
                 frontier = pareto_data_time(sub, args.eps)
             else:
                 frontier = pareto_risk_time(sub, args.n)
-            rows.extend((x, t, proc) for x, t in frontier)
+            rows.extend((float(x), float(t), proc) for x, t in frontier)
     if not rows:
         print("warning: no feasible records; frontier is empty", file=sys.stderr)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_or_eps", "time_s", "source"])
-        for x, t, src in rows:
-            writer.writerow([repr(float(x)), repr(float(t)), src])
+    _write_table(args.out, ["n_or_eps", "time_s", "source"], rows)
     outputs.append(args.out)
 
 
 def cmd_tram(args, outputs: list[str]) -> None:
-    data = _load_dataset(args.input, args.header)
+    data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
     train, validation = split_validation(data, args.val_fraction, seed=args.seed)
     params = TramParams(
         eps_total=args.eps,
@@ -222,24 +209,16 @@ def cmd_analytic(args, outputs: list[str]) -> None:
     if mode == "data_time":
         xs = np.unique(np.ceil(xs).astype(np.int64))
     points = analytic_curves(params, mode, xs, fixed_n=args.n)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["x", "t_subs", "t_core", "m_star_subs", "m_star_core", "s_star_core", "regime"]
-        )
-        for pt in points:
-            sub, core = pt.subsampler, pt.coreset
-            writer.writerow(
-                [
-                    repr(pt.x),
-                    repr(sub.t) if sub.feasible else "",
-                    repr(core.t) if core.feasible else "",
-                    sub.m if sub.feasible else "",
-                    core.m if core.feasible else "",
-                    core.s if core.feasible and core.s is not None else "",
-                    pt.regime,
-                ]
-            )
+    # an infeasible optimum has t, m and s of None, written as empty cells
+    _write_table(
+        args.out,
+        ["x", "t_subs", "t_core", "m_star_subs", "m_star_core", "s_star_core", "regime"],
+        (
+            [pt.x, pt.subsampler.t, pt.coreset.t, pt.subsampler.m, pt.coreset.m,
+             pt.coreset.s, pt.regime]
+            for pt in points
+        ),
+    )
     outputs.append(args.out)
 
 

@@ -86,8 +86,10 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
 _WRITE_ROWS = 4096
 
 
-def load_csv(path, has_header: bool = False) -> Dataset:
-    """Parse a rectangular numeric CSV into a Dataset.
+def load_csv(path, has_header: bool | None = False) -> Dataset:
+    """Parse a rectangular numeric CSV into a Dataset. Under `has_header=None`
+    the first row is a header when one of its non-blank fields, as
+    `csv.reader` splits and unquotes them, is not a float.
 
     Rejects ragged rows, non-numeric fields, and non-finite values with an
     error naming the offending row (1-based, counting the header if any).
@@ -96,8 +98,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     read by `np.loadtxt`, whose fields parse to the same doubles as
     `float()`, and checked finite in one scan. Any file it rejects, reads
     as empty or finds non-finite (ragged rows, quoted fields, `1_0`,
-    whitespace-only lines, `nan`, `1e309`, a header with a quote) is
-    parsed again from the start, row by row with `csv.reader`, which
+    whitespace-only lines, `nan`, `1e309`), and any whose first line has a
+    quote, is parsed again from the start, row by row with `csv.reader`, which
     accepts the same files and raises the same messages at the same rows
     as it always has. A stream that cannot seek (a pipe, `/dev/stdin`)
     goes to the row parser in one pass. `#` starts no comment: such a
@@ -112,20 +114,35 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         return _wrap(Dataset, _parse_rows(fh, path, has_header))
 
 
-def _load_plain(fh, has_header: bool):
+def _is_header(row: list[str], has_header: bool | None) -> bool:
+    # load_csv's rule for its first row
+    if has_header is not None:
+        return has_header
+    try:
+        [float(field) for field in row if field.strip()]
+    except ValueError:
+        return True
+    return False
+
+
+def _load_plain(fh, has_header: bool | None):
     # np.loadtxt's array when it reads the file as finite rows, else None;
-    # a quote may open a header field that spans lines, which only
+    # a quote may open a first field that spans lines, which only
     # csv.reader follows, and a file without data rows would make
     # np.loadtxt warn, so both go to the row parser untried
-    header = fh.readline() if has_header else ""
-    if '"' in header or not any(line.strip() for line in iter(fh.readline, "")):
+    first = fh.readline()
+    if '"' in first:
+        return None
+    header = _is_header(next(csv.reader([first]), []), has_header)
+    first_data = "" if header else first
+    if not first_data.strip() and not any(line.strip() for line in iter(fh.readline, "")):
         return None
     fh.seek(0)
     try:
         arr = np.loadtxt(
             fh,
             delimiter=",",
-            skiprows=int(has_header),
+            skiprows=int(header),
             ndmin=2,
             dtype=np.float64,
             comments=None,
@@ -135,13 +152,13 @@ def _load_plain(fh, has_header: bool):
     return arr if arr.size and np.isfinite(arr).all() else None
 
 
-def _parse_rows(fh, path, has_header: bool) -> np.ndarray:
+def _parse_rows(fh, path, has_header: bool | None) -> np.ndarray:
     # load_csv's row-by-row parser, the arbiter of what a valid file is
     rows: list[list[float]] = []
     d = None
     reader = csv.reader(fh)
     for lineno, row in enumerate(reader, start=1):
-        if has_header and lineno == 1:
+        if lineno == 1 and _is_header(row, has_header):
             continue
         if not row or (len(row) == 1 and row[0].strip() == ""):
             continue  # tolerate blank lines
@@ -180,14 +197,22 @@ def save_csv(data: Dataset, path, header: bool = True) -> None:
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in chunk)
 
 
+def _write_table(path, header, rows) -> None:
+    """Write through `csv.writer`: floats as repr, None as "", CRLF rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_mixture_meta(result: SyntheticResult, path) -> None:
     """Ground-truth sidecar: one row per component (weight, mean coords)."""
     d = result.means.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["weight"] + [f"mu{j}" for j in range(d)])
-        for w, mu in zip(result.weights, result.means):
-            writer.writerow([repr(float(w))] + [repr(float(v)) for v in mu])
+    _write_table(
+        path,
+        ["weight"] + [f"mu{j}" for j in range(d)],
+        ([w] + mu for w, mu in zip(result.weights.tolist(), result.means.tolist())),
+    )
 
 
 def split_validation(data: Dataset, fraction: float, seed: int = 0):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from .core import Dataset, empirical_risk, uniform_weighted
 from .coreset import CoresetParams, build_coreset
+from .data import _write_table
 from .rng import derive_rng, stable_seed
 from .solver import SolverConfig, solve
 
@@ -85,12 +86,12 @@ class Lambda:
         return tuple(sorted({r.n for r in self.records}))
 
     def to_csv(self, path) -> None:
-        # csv writes floats with repr, so values round-trip exactly
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LAMBDA_HEADER)
-            for r in self.records:
-                writer.writerow([getattr(r, name) for name in LAMBDA_HEADER])
+        # floats are written as their repr, so values round-trip exactly
+        _write_table(
+            path,
+            LAMBDA_HEADER,
+            ([getattr(r, name) for name in LAMBDA_HEADER] for r in self.records),
+        )
 
     @staticmethod
     def from_csv(path) -> "Lambda":

@@ -13,7 +13,6 @@ from the very first test.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,7 @@ import numpy as np
 
 from .core import Centers, Dataset, empirical_risk, uniform_weighted
 from .coreset import CoresetParams, build_coreset
+from .data import _write_table
 from .rng import stable_seed
 from .solver import SolverConfig, solve
 
@@ -107,24 +107,15 @@ class TramTrace:
         return len(self.rows)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["i", "m", "s", "a", "val_risk", "stopped", "t_solver_ms", "t_val_ms"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.i,
-                        r.m,
-                        r.s,
-                        r.a,
-                        repr(r.validation_risk),
-                        str(r.stopped).lower(),
-                        repr(r.elapsed_solver * 1e3),
-                        repr(r.elapsed_validation * 1e3),
-                    ]
-                )
+        _write_table(
+            path,
+            ["i", "m", "s", "a", "val_risk", "stopped", "t_solver_ms", "t_val_ms"],
+            (
+                [r.i, r.m, r.s, r.a, r.validation_risk, str(r.stopped).lower(),
+                 r.elapsed_solver * 1e3, r.elapsed_validation * 1e3]
+                for r in self.rows
+            ),
+        )
 
 
 def validation_size(i: int, p: TramParams) -> int:
@@ -153,8 +144,10 @@ def default_start_sizes(train: Dataset, p: TramParams, solver: SolverConfig):
     """Pilot-derived (m0, s0), inversely proportional to the target risk.
 
     A cheap single-restart solve on a data prefix supplies the reference
-    risk scale eps_ref; then m0 = 1000 * eps_ref / eps and
-    s0 = 100 * eps_ref / eps, clamped to the data.
+    risk scale eps_ref; then m0 = 1000 * eps_ref / eps, clamped to
+    [1, n], and s0 = 100 * eps_ref / eps, at least 1 but not capped at n
+    (an s above the prefix size makes build_coreset return the whole
+    prefix).
     """
     pilot_n = min(train.n, 1000)
     cfg = replace(solver, restarts=1, seed=stable_seed(p.seed, "pilot"))
@@ -190,9 +183,9 @@ def run_tram(
 
     t_start = time.perf_counter()
     rows: list[TramIteration] = []
+    # a passing risk is below every earlier, failing one, so the best
+    # round is also the final one when the test passes
     best: tuple[float, Centers] | None = None
-    final: tuple[float, Centers] | None = None
-    exhausted = False
     saturated_fails = 0
     i = 0
     while True:
@@ -221,28 +214,17 @@ def run_tram(
         )
         if best is None or val_risk < best[0]:
             best = (val_risk, result.centers)
-        if stopped:
-            final = (val_risk, result.centers)
-            exhausted = pool_short
-            break
-        if pool_short:
-            exhausted = True
-            break
         if m_i >= train.n and s_i >= train.n:
             saturated_fails += 1
-            if saturated_fails >= SATURATED_FAILS:
-                exhausted = True
-                break
+        if stopped or pool_short or saturated_fails >= SATURATED_FAILS:
+            break
         i += 1
 
-    if final is None:
-        assert best is not None
-        final = best
     return TramTrace(
         rows=tuple(rows),
-        final_centers=final[1],
-        final_validation_risk=final[0],
-        exhausted=exhausted,
+        final_centers=best[1],
+        final_validation_risk=best[0],
+        exhausted=pool_short or not stopped,
         total_time=time.perf_counter() - t_start,
         params=p,
     )

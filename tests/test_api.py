@@ -21,14 +21,17 @@ def test_every_export_resolves(name):
     exec(f"from {name} import *", {})
 
 
+def _module_trees():
+    for path in sorted(Path(tramkit.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text())
+
+
 def test_no_unused_imports():
     # only names read in Load context count: a dataclass field of the same
     # name as an import would otherwise hide it
     unused = {}
-    for path in sorted(Path(tramkit.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
+    for name, tree in _module_trees():
         imported = {
             (alias.asname or alias.name).split(".")[0]
             for node in ast.walk(tree)
@@ -42,5 +45,17 @@ def test_no_unused_imports():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         if imported - read:
-            unused[path.name] = sorted(imported - read)
+            unused[name] = sorted(imported - read)
     assert unused == {}
+
+
+def test_only_the_data_layer_imports_csv():
+    # data owns the CSV formats; tradeoff reads the Lambda schema it defines
+    importers = {
+        name
+        for name, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+    }
+    assert importers <= {"data", "tradeoff"}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from tramkit import cli
-from tramkit.cli import _load_dataset, main
-from tramkit.data import gen_synthetic, SyntheticSpec, save_csv
+from tramkit.cli import main
+from tramkit.data import gen_synthetic, SyntheticSpec, load_csv, save_csv
 
 from oracles import csv_writer_bytes
 
@@ -55,7 +55,7 @@ def test_gen_file_reloads_bit_for_bit(tmp_path):
     args = ["gen", "--n", "5000", "--d", "4", "--k-true", "6", "--seed", "9"]
     assert main(args + ["--out", str(out)]) == 0
     want = gen_synthetic(SyntheticSpec(n=5000, d=4, k_true=6, seed=9)).data.points
-    got = _load_dataset(str(out), "auto").points
+    got = load_csv(out, has_header=None).points
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -114,6 +114,24 @@ def test_sweep_shape_and_determinism(tmp_path):
     assert rows1[0]["procedure"] == "coreset"
 
 
+def test_sweep_auto_header_keeps_a_quoted_numeric_first_row(tmp_path):
+    data = tmp_path / "quoted.csv"
+    data.write_text('"1","2"\n3,4\n5,6\n')
+    rc = main(
+        [
+            "sweep",
+            "--input", str(data),
+            "--procedure", "uniform",
+            "--n-values", "3",
+            "--s-values", "1",
+            "--repeats", "1",
+            "--k", "1",
+            "--out", str(tmp_path / "lam.csv"),
+        ]
+    )
+    assert rc == 0
+
+
 def test_sweep_procedures_share_interface(tmp_path):
     data = tmp_path / "data.csv"
     write_blobs(data)
@@ -156,6 +174,7 @@ def test_pareto_hand_built(tmp_path):
         (20.0, 3.0),
     ]
     assert all(r["source"] == "uniform" for r in rows)
+    assert out.read_bytes() == b"n_or_eps,time_s,source\r\n10.0,5.0,uniform\r\n20.0,3.0,uniform\r\n"
 
 
 def test_pareto_empty_feasible_set(tmp_path, capsys):
@@ -285,6 +304,14 @@ def test_analytic_data_time_defaults(tmp_path):
         else:
             assert float(row["t_subs"]) == 182.0**3
             assert row["m_star_subs"] == "182"
+    # infeasible optima and a backed-off coreset's s are empty cells
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[:2] == [
+        b"x,t_subs,t_core,m_star_subs,m_star_core,s_star_core,regime",
+        b"100.0,,,,,,data-bounded",
+    ]
+    assert b"1000.0,6028568.0,6028568.0,182,182,,intermediate" in lines
+    assert lines[-2:] == [b"1000000.0,6028568.0,1710452.0,182,12281,78,data-laden", b""]
 
 
 def test_analytic_risk_time_monotone(tmp_path):

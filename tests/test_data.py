@@ -168,7 +168,8 @@ def test_load_csv_row_parser_inputs_load_as_before(tmp_path):
         assert got.flags.c_contiguous
 
 
-def test_load_csv_header_only_raises_without_warning(tmp_path):
+@pytest.mark.parametrize("has_header", [True, None])
+def test_load_csv_header_only_raises_without_warning(tmp_path, has_header):
     f = tmp_path / "header.csv"
     # the last header's quote never closes, so its field takes the file
     for text in ("x0,x1\r\n", "x0,x1\r\n\r\n\r\n", "x0,x1\n  \n", '"x0,x1\n1,2\n'):
@@ -176,7 +177,7 @@ def test_load_csv_header_only_raises_without_warning(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no data rows"):
-                load_csv(f, has_header=True)
+                load_csv(f, has_header=has_header)
 
 
 def _load_through_fifo(path, text, has_header):
@@ -196,17 +197,19 @@ def _load_through_fifo(path, text, has_header):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("has_header", [True, False])
+@pytest.mark.parametrize("has_header", [True, False, None])
 def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
+    # None reads files with a header: it must find it on the one pass
+    header = has_header is not False
     pts = np.random.default_rng(12).normal(size=(50, 3)) * 1e3
     f = tmp_path / "pts.csv"
-    save_csv(Dataset(pts), f, header=has_header)
+    save_csv(Dataset(pts), f, header=header)
     got = _load_through_fifo(tmp_path / "plain.fifo", f.read_text(), has_header)
     assert same_bits(got.points, pts)
-    head = "x,y\n" if has_header else ""
+    head = "x,y\n" if header else ""
     got = _load_through_fifo(tmp_path / "quoted.fifo", head + '"1","2"\n1_0,4\n', has_header)
     assert same_bits(got.points, np.array([[1.0, 2.0], [10.0, 4.0]]))
-    with pytest.raises(ValueError, match=f"row {2 + has_header}: non-numeric field"):
+    with pytest.raises(ValueError, match=f"row {2 + header}: non-numeric field"):
         _load_through_fifo(tmp_path / "bad.fifo", head + "1,2\n#3,4\n", has_header)
 
 

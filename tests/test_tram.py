@@ -12,6 +12,8 @@ from tramkit import (
     stopping_test,
     validation_size,
 )
+from tramkit.cli import main
+from tramkit.data import save_csv
 from tramkit.tram import default_start_sizes, summary_at, truncation_at
 
 
@@ -127,6 +129,25 @@ def test_exhausted_on_short_pool():
     trace = run_tram(train, pool, p, SolverConfig(k=3, seed=3))
     assert trace.exhausted
     assert trace.J == 1
+
+
+def test_pass_on_a_short_pool_is_exhausted(tmp_path, capsys):
+    # B = 1e4 puts a[0] far above the pool, and eps = 100 passes at once
+    train = blob_data(400, 15, 1)
+    pool = blob_data(100, 15, 2)
+    p = TramParams(eps_total=100.0, delta=0.1, k=3, B=1e4, m0=50, s0=10, seed=5)
+    trace = run_tram(train, pool, p, SolverConfig(k=3, seed=5))
+    assert trace.J == 1
+    assert trace.rows[0].stopped and trace.rows[0].a > pool.n
+    assert trace.exhausted
+    assert trace.final_validation_risk == trace.rows[0].validation_risk
+    data = tmp_path / "data.csv"
+    save_csv(Dataset(np.vstack([train.points, pool.points])), data)
+    argv = ["tram", "--input", str(data), "--eps", "100", "--ball-radius", "1e4",
+            "--k", "3", "--m0", "50", "--s0", "10", "--seed", "5",
+            "--trace-out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 0
+    assert "validation pool smaller than the prescribed budget" in capsys.readouterr().err
 
 
 def test_m0_larger_than_n_rejected():
