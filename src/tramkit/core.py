@@ -85,7 +85,11 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         """The points at the given indices, in that order (a copy)."""
-        pts = self.points[np.asarray(idx)]
+        idx = np.asarray(idx)
+        if idx.dtype == bool:
+            raise ValueError("subset takes indices, not a boolean mask")
+        # take(axis=0) gathers whole rows about twice as fast as fancy indexing
+        pts = np.take(self.points, idx, axis=0)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("subset needs a non-empty 1-D index array")
         return _wrap(Dataset, pts)
@@ -153,6 +157,11 @@ _BLOCK_ROWS = 4096
 # twice what the error analysis in `_nearest` needs.
 _TIE_SLACK = 4.0
 
+# float64 machine epsilon and smallest normal number, looked up once: each
+# np.finfo call costs microseconds, and hot loops take them per block
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
     """Labels and squared distances of each point's nearest center.
@@ -190,7 +199,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
     neg2c = -2.0 * centers
     cc = np.einsum("ij,ij->i", centers, centers)[:, None]
     cmax = np.sqrt(cc.max())
-    slack = _TIE_SLACK * (d + 2) * np.finfo(np.float64).eps
+    slack = _TIE_SLACK * (d + 2) * _EPS
     # one (2, k) GEMM over the near-best mask counts, per point, the
     # centers that score near the best and sums their indices
     tally = np.ones((2, k))
@@ -219,7 +228,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
         np.add(norms[lo:hi], cmax, out=tol)
         np.square(tol, out=tol)
         tol *= slack
-        tol += np.finfo(np.float64).tiny
+        tol += _TINY
         tol += scores.min(axis=0)
         # the scores become the near-best mask: 1.0 where a center scores
         # within the margin of the best

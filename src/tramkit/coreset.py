@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers, Dataset, WeightedSet, _wrap, assign_nearest, uniform_weighted
+from .core import Centers, Dataset, WeightedSet, _wrap, uniform_weighted
 from .rng import derive_rng
-from .solver import seed_dsquared
+from .solver import _dsquared
 
 __all__ = [
     "Bicriteria",
@@ -77,14 +77,16 @@ class EtaModel:
 def bicriteria_init(data: Dataset, p: CoresetParams, rng) -> Bicriteria:
     """D^2-sample BICRITERIA_FACTOR * k rough centers and assign every point.
 
-    The centers come from `seed_dsquared` on the data at uniform weights
-    (the first center uniformly at random). One sampling sweep plus one
-    assignment pass; linear in n for fixed k, d.
+    The centers are those `seed_dsquared` draws on the data at uniform
+    weights (the first center uniformly at random). One pass: the seeding's
+    own distances and owners are the assignment, so each point goes to the
+    first center attaining its squared distance, as an argmin over the
+    centers would. Linear in n for fixed k, d.
     """
-    centers = seed_dsquared(uniform_weighted(data), BICRITERIA_FACTOR * p.k, rng)
-    labels, point_costs = assign_nearest(data.points, centers.centers)
+    ws = uniform_weighted(data)
+    chosen, point_costs, labels = _dsquared(ws, BICRITERIA_FACTOR * p.k, rng, owners=True)
     return Bicriteria(
-        centers=centers,
+        centers=_wrap(Centers, data.points[chosen]),
         assignment=labels,
         total_cost=float(point_costs.sum()),
         point_costs=point_costs,
@@ -126,7 +128,8 @@ def build_coreset(data: Dataset, p: CoresetParams) -> WeightedSet:
     idx = rng.choice(n, size=p.size, replace=True, p=q)
     # sigma >= 1/n and sum(sigma) <= 2k + 1, so q >= 1/(n * (2k + 1)) on
     # every index and the weights are finite and positive
-    return _wrap(WeightedSet, data.points[idx], 1.0 / (p.size * q[idx] * n))
+    pts = np.take(data.points, idx, axis=0)
+    return _wrap(WeightedSet, pts, 1.0 / (p.size * q[idx] * n))
 
 
 def eta_bound(s: int, m: EtaModel) -> float:

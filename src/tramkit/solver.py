@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers, WeightedSet, _wrap, assign_nearest, min_sq_dists
+from .core import _EPS, _TINY, Centers, WeightedSet, _wrap, assign_nearest, min_sq_dists
 from .rng import derive_rng, mass_pick
 
 __all__ = ["SolverConfig", "SolveResult", "seed_dsquared", "lloyd", "solve"]
@@ -48,6 +48,109 @@ class SolveResult:
     history: tuple = ()
 
 
+# Points at or above which each D^2 step screens out the points that the
+# new center cannot bring closer. Below it the screen's bookkeeping costs
+# more than the full pass it saves (measured on d = 10 mixtures: 10 centers
+# break even near 3,000-4,000 points), so the small solve-side seedings
+# (s = 50 ... 2000) keep the plain loop.
+_SCREEN_MIN_POINTS = 4096
+
+
+def _dsquared(ws: WeightedSet, k: int, rng: np.random.Generator, owners: bool):
+    """Weighted D^2 seeding: `(chosen, d2, owner)`.
+
+    `chosen` holds the k drawn indices into `ws.points`; `d2` each point's
+    squared distance to its nearest chosen center, summed as the per-center
+    oracle sums it; `owner` that center's position in `chosen`, the first
+    to attain the distance (argmin order), or None when `owners` is false
+    and the plain loop ran.
+
+    With at least `_SCREEN_MIN_POINTS` points, a step for a new center c
+    evaluates only the points that can get strictly closer to it. By the
+    triangle inequality, x with owner a gets no closer when |c - a|^2 >=
+    4 |x - a|^2. The stored d2 and the gap |c - a|^2 are both einsums of
+    exactly rounded differences, so each is within a relative
+    (d + 2) * (eps / 2) of exact whatever the coordinates' offset. Skipping
+    only where |c - a|^2 / 4 exceeds d2 by a relative (d + 2) * eps thus
+    leaves the computed |x - c|^2 >= d2: the plain loop's `np.minimum`
+    would keep d2 and the owner. The screen asks four times that margin,
+    which also covers rounding the bound, and takes `tiny` off the bound
+    for absolute rounding in the subnormal range; an infinite d2 is never
+    skipped. Points that pass take the plain loop's difference and einsum,
+    so draws, distances and owners are the same bits either way.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pts, w = ws.points, ws.weights
+    n, d = pts.shape
+    chosen = [mass_pick(w, rng)]
+    screen = n >= _SCREEN_MIN_POINTS
+    # the plain loop takes its n < _SCREEN_MIN_POINTS rows at once, the
+    # screened steps as many at a time: a difference buffer the size of the
+    # points would add megabytes to the peak memory and evict the cache
+    rows = min(n, _SCREEN_MIN_POINTS)
+    diff = np.empty(rows * d)
+    mass = np.empty(n)
+    owner = np.zeros(n, dtype=np.intp) if owners or screen else None
+    c = pts[chosen[0]]
+    if screen:
+        d2 = np.empty(n)
+        for lo in range(0, n, rows):
+            sub = diff[: min(rows, n - lo) * d].reshape(-1, d)
+            np.subtract(pts[lo : lo + rows], c, out=sub)
+            np.einsum("ij,ij->i", sub, sub, out=d2[lo : lo + rows])
+        np.multiply(w, d2, out=mass)
+        shrink = 1.0 / (1.0 + 4.0 * (d + 2) * _EPS)
+        reach = np.empty(n)
+        near = np.empty(n, dtype=bool)
+    else:
+        full = diff.reshape(n, d)
+        np.subtract(pts, c, out=full)
+        d2 = np.einsum("ij,ij->i", full, full)
+        dist = np.empty(n)
+    for j in range(1, k):
+        if not screen:
+            np.multiply(w, d2, out=mass)
+        if not mass.any():
+            # no point carries positive D^2 mass: duplicate chosen centers
+            chosen.extend(chosen[i % j] for i in range(k - j))
+            break
+        idx = mass_pick(mass, rng)
+        chosen.append(idx)
+        c = pts[idx]
+        if not screen:
+            np.subtract(pts, c, out=full)
+            np.einsum("ij,ij->i", full, full, out=dist)
+            if owners:
+                np.copyto(owner, j, where=dist < d2)
+            np.minimum(d2, dist, out=d2)
+            continue
+        # per earlier center a, the largest d2 that c cannot improve on:
+        # |c - a|^2 / 4, less the rounding margin
+        gap = pts[chosen[:j]] - c
+        bound = np.einsum("ij,ij->i", gap, gap)
+        bound *= 0.25
+        bound -= _TINY
+        bound *= shrink
+        np.take(bound, owner, out=reach, mode="clip")
+        np.less_equal(reach, d2, out=near)
+        sel = np.flatnonzero(near)
+        for lo in range(0, sel.size, rows):
+            part = sel[lo : lo + rows]
+            sub = diff[: part.size * d].reshape(part.size, d)
+            # mode="clip" writes straight into out (the indices are in range)
+            np.take(pts, part, axis=0, out=sub, mode="clip")
+            np.subtract(sub, c, out=sub)
+            dist = np.einsum("ij,ij->i", sub, sub)
+            closer = dist < d2[part]
+            hit = part[closer]
+            dist = dist[closer]
+            d2[hit] = dist
+            owner[hit] = j
+            mass[hit] = w[hit] * dist
+    return chosen, d2, owner
+
+
 def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     """Weighted k-means++ seeding.
 
@@ -57,32 +160,16 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     mass, which happens when there are fewer than k distinct positive-weight
     points, the remaining slots duplicate already-chosen centers.
 
-    One difference, one distance and one mass buffer, allocated per call,
-    serve every center. The arithmetic is that of a loop allocating fresh
-    arrays per center, so it draws the same indices (`tests/oracles.py`).
+    With at least 4096 points, each step screens out, by the triangle
+    inequality, the points a new center c cannot bring closer: those whose
+    squared distance to their nearest chosen center a is below
+    |c - a|^2 / 4 by more than a relative margin of 4 (d + 2) eps plus the
+    smallest normal float. Every point that can change takes the
+    arithmetic of a loop allocating fresh arrays per center, so the draws
+    are the same (`tests/oracles.py`).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts, w = ws.points, ws.weights
-    chosen = [mass_pick(w, rng)]
-    diff = np.empty(pts.shape)
-    dist = np.empty(ws.size)
-    mass = np.empty(ws.size)
-    np.subtract(pts, pts[chosen[0]], out=diff)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    while len(chosen) < k:
-        np.multiply(w, d2, out=mass)
-        if not mass.any():
-            # no point carries positive D^2 mass: duplicate chosen centers
-            need = k - len(chosen)
-            chosen.extend(chosen[i % len(chosen)] for i in range(need))
-            break
-        idx = mass_pick(mass, rng)
-        chosen.append(idx)
-        np.subtract(pts, pts[idx], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=dist)
-        np.minimum(d2, dist, out=d2)
-    return _wrap(Centers, pts[chosen])
+    chosen = _dsquared(ws, k, rng, owners=False)[0]
+    return _wrap(Centers, ws.points[chosen])
 
 
 def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, norms) -> None:
@@ -138,7 +225,7 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
         improvement = risk - new_risk
         risk = new_risk
         history.append(risk)
-        if improvement <= cfg.rel_tol * max(risk, np.finfo(float).tiny):
+        if improvement <= cfg.rel_tol * max(risk, _TINY):
             break
     # the validating constructor, not _wrap: the means are computed values,
     # and its finiteness check is the only guard if one overflows

@@ -156,6 +156,9 @@ def test_prefix_and_subset():
         data.prefix(4)
     with pytest.raises(ValueError):
         data.subset(np.array([], dtype=np.intp))
+    # a mask would gather rows 0 and 1, not select the true ones
+    with pytest.raises(ValueError):
+        data.subset(np.array([True, False, True]))
 
 
 def test_dataset_leaves_caller_array_writable_and_unshared():

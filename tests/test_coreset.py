@@ -17,8 +17,9 @@ from tramkit import (
     weighted_risk,
 )
 from tramkit.rng import derive_rng
+from tramkit.solver import _SCREEN_MIN_POINTS
 
-from oracles import brute_force_kmeans
+from oracles import brute_force_kmeans, nearest_center_per_center
 
 
 def test_bicriteria_single_point():
@@ -49,6 +50,51 @@ def test_bicriteria_beats_single_centroid():
     assert b.total_cost <= centroid_cost * data.n
     assert b.total_cost == b.point_costs.sum()
     assert b.assignment.min() >= 0 and b.assignment.max() < b.centers.k
+
+
+def _bicriteria_cases():
+    gen = np.random.default_rng(35)
+    means = gen.uniform(0, 100, size=(6, 3))
+    pts = means[gen.integers(0, 6, size=5000)] + 3.0 * gen.normal(size=(5000, 3))
+    few = np.repeat(np.array([[0.0, 1.0], [3.0, 3.0], [-2.0, 5.0]]), 1500, axis=0)
+    # integer coordinates: many points equidistant from two centers
+    lattice = np.indices((70, 70)).reshape(2, -1).T.astype(float)
+    # x, next to the midpoint of a and c, is closer to c by the einsums,
+    # although |c - a|^2 / 4 rounds to more than |x - a|^2: a screen
+    # without its margin would keep x with a once a and then c are drawn
+    a = [0.6661037295833403, 2.316294035093577, 1.8916991661263431,
+         1.3347469514350123, 1.5299734501953228, 2.948281103707867,
+         0.9445886215634766, 1.0048647575909548, 2.3018484079483956]
+    c = [3.187344188669577, 0.9383350849081329, 1.034660340607715,
+         0.6188875812349226, 0.6480054443342677, -0.06653128384803852,
+         0.24556354677612124, 0.2220852635858076, 2.0491824903742746]
+    x = [1.9267239591264587, 1.6273145600008554, 1.4631797533670297,
+         0.9768172663349678, 1.0889894472647956, 1.4408749099299134,
+         0.5950760841697991, 0.6134750105883812, 2.1755154491613355]
+    near_midpoint = np.array([c, x] + [a] * (_SCREEN_MIN_POINTS - 2))
+    return {
+        "mixture": (pts, 6),
+        "below_screen_size": (pts[: _SCREEN_MIN_POINTS - 1], 6),
+        "at_screen_size": (pts[:_SCREEN_MIN_POINTS], 6),
+        "offset_1e8": (pts + 1e8, 6),
+        "scale_1e-160": (pts * 1e-160, 6),
+        "duplicated_points": (np.repeat(pts[:500], 10, axis=0), 6),
+        "fewer_distinct_points_than_2k": (few, 4),
+        "integer_lattice_ties": (lattice, 6),
+        "integer_lattice_ties_below_screen_size": (lattice[: _SCREEN_MIN_POINTS - 1], 6),
+        "rounding_at_the_screen_bound": (near_midpoint, 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bicriteria_cases()))
+def test_bicriteria_equals_nearest_center_oracle_bit_for_bit(case):
+    pts, k = _bicriteria_cases()[case]
+    for seed in range(3):
+        b = bicriteria_init(Dataset(pts), CoresetParams(k=k, size=10), derive_rng(seed, "b"))
+        labels, d2 = nearest_center_per_center(pts, b.centers.centers)
+        assert np.array_equal(b.assignment, labels)
+        assert np.array_equal(b.point_costs, d2)
+        assert b.total_cost == float(d2.sum())
 
 
 def test_sensitivities_identical_points():

@@ -19,6 +19,7 @@ from tramkit import (
 )
 from tramkit.core import _BLOCK_ROWS, assign_nearest
 from tramkit.rng import derive_rng
+from tramkit.solver import _SCREEN_MIN_POINTS
 
 from oracles import brute_force_kmeans, dsquared_reference, lloyd_reference
 
@@ -223,15 +224,30 @@ def test_lloyd_equals_per_center_reference_bit_for_bit(case):
 
 
 def _seeding_cases():
+    # most cases are at or above the size from which each D^2 step screens
+    # points by the triangle inequality
     pts = _mixture(33, 5000, 4, 6)
     w = np.random.default_rng(34).uniform(size=5000)
     w[::3] = 0.0
     few = np.repeat(np.array([[0.0, 1.0], [3.0, 3.0], [-2.0, 5.0]]), [4, 1, 6], axis=0)
+    many_few = np.repeat(few, 500, axis=0)
+    # integer coordinates: exact distances, many points equidistant from
+    # two chosen centers
+    lattice = np.indices((70, 70)).reshape(2, -1).T.astype(float)
+    below, at = _SCREEN_MIN_POINTS - 1, _SCREEN_MIN_POINTS
     return {
         "mixture": (pts, np.full(5000, 1.0 / 5000), 12),
         "zero_weights": (pts, w, 12),
         "fewer_distinct_points_than_k": (few, np.ones(len(few)), 7),
         "fortran_ordered": (np.asfortranarray(pts), w, 12),
+        "offset_1e6": (pts + 1e6, w, 12),
+        "offset_1e8": (pts + 1e8, w, 12),
+        "scale_1e-160": (pts * 1e-160, w, 12),
+        "duplicated_points": (np.repeat(pts[:500], 10, axis=0), w, 12),
+        "fewer_distinct_points_than_k_screened": (many_few, np.ones(len(many_few)), 7),
+        "integer_lattice_ties": (lattice, np.ones(len(lattice)), 12),
+        "one_below_screen_size": (pts[:below], w[:below], 12),
+        "at_screen_size": (pts[:at], w[:at], 12),
     }
 
 
