@@ -162,8 +162,13 @@ _TIE_SLACK = 4.0
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
+# Added to the near-best centers' scores to leave them out of the second
+# lowest, and the cap on a squared bound: far below overflow, far above any
+# score of a point the fast path ranks.
+_BIG = 1e300
 
-def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
+
+def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None):
     """Labels and squared distances of each point's nearest center.
 
     Per block of rows, one GEMM scores every center by |c|^2 - 2 x.c. That
@@ -187,6 +192,15 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
     margin row, the (2, rows) tally and the (rows, d) gathered centers) is
     allocated once per call and never shared, so concurrent calls from
     threads are safe.
+
+    `lb`, if given, is an (n,) array the kernel fills with a lower bound on
+    each point's distance to every center but its own: the square root of
+    its second-lowest score plus |x|^2, less the tie margin, clamped to
+    [0, _BIG]. The margin, 4 (d + 2) eps (|x| + max|c|)^2 plus `tiny`,
+    exceeds the score's error plus the rounding of |x|^2, of the two sums
+    and of the square root, at most (d + 6) eps (|x| + max|c|)^2, so the
+    bound holds. Points ranked on the exact path get 0. The mask then takes
+    a buffer of its own, since the scores are still needed.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -214,6 +228,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
     tally_buf = np.empty(2 * rows)
     tol_buf = np.empty(rows)
     diff_buf = np.empty(rows * d)
+    mask_buf = score_buf if lb is None else np.empty(k * rows)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         m = hi - lo
@@ -229,12 +244,25 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
         np.square(tol, out=tol)
         tol *= slack
         tol += _TINY
+        if lb is not None:
+            bound = lb[lo:hi]
+            np.square(norms[lo:hi], out=bound)
+            bound -= tol
         tol += scores.min(axis=0)
-        # the scores become the near-best mask: 1.0 where a center scores
-        # within the margin of the best
-        np.less_equal(scores, tol, out=scores)
+        # the near-best mask, in place of the scores unless `lb` needs
+        # them: 1.0 where a center scores within the margin of the best
+        mask = mask_buf[: k * m].reshape(k, m)
+        np.less_equal(scores, tol, out=mask)
         count_sum = tally_buf[: 2 * m].reshape(2, m)
-        np.dot(tally, scores, out=count_sum)
+        np.dot(tally, mask, out=count_sum)
+        if lb is not None:
+            # where one center is near the best, the lowest of the other
+            # scores; elsewhere a value the exact path below replaces
+            mask *= _BIG
+            scores += mask
+            bound += scores.min(axis=0)
+            np.clip(bound, 0.0, _BIG, out=bound)
+            np.sqrt(bound, out=bound)
         # the index sum is the label wherever exactly one center is near
         # the best; NaN scores (overflow) match no center and take the
         # exact path too
@@ -248,6 +276,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None):
                 diff = xc - c
                 exact[:, j] = np.einsum("ij,ij->i", diff, diff)
             lab[close] = exact.argmin(axis=1)
+            if lb is not None:
+                bound[close] = 0.0
         diff = diff_buf[: m * d].reshape(m, d)
         # mode="clip" writes straight into out (the labels are in range)
         np.take(centers, lab, axis=0, out=diff, mode="clip")
@@ -267,14 +297,16 @@ def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.
     return _nearest(points, centers, _norms)[1]
 
 
-def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None):
+def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=None):
     """Nearest-center labels and squared distances.
 
     Ties break toward the lowest center index (argmin convention); the
     distances are the same values `min_sq_dists` returns. `_norms` is the
-    library's own channel for the points' precomputed row norms.
+    library's own channel for the points' precomputed row norms, and `_lb`
+    for an array it fills with each point's lower bound on its distance to
+    the other centers (see `_nearest`).
     """
-    return _nearest(points, centers, _norms)
+    return _nearest(points, centers, _norms, _lb)
 
 
 def squared_dist(x, c: Centers) -> float:

@@ -8,6 +8,7 @@ scheduling: the same address always yields the same stream.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 
 import numpy as np
@@ -41,6 +42,11 @@ def mass_pick(mass: np.ndarray, rng: np.random.Generator) -> int:
     per-call validation and normalization, which dominate tight sampling
     loops. The draw is scaled by the cumulative sum's own last entry, so it
     always lands below it and the index is in range with positive mass.
+    Masses whose sum overflows (coordinates near 1e154 and above square to
+    inf in D^2 sampling) raise ValueError.
     """
     cdf = np.cumsum(mass)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    total = float(cdf[-1])
+    if not math.isfinite(total):
+        raise ValueError(f"the masses overflow: their cumulative sum ends in {total}")
+    return int(np.searchsorted(cdf, rng.random() * total, side="right"))

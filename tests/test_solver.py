@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from tramkit import (
     weighted_risk,
 )
 from tramkit.core import _BLOCK_ROWS, assign_nearest
+from tramkit.data import SyntheticSpec, gen_synthetic
 from tramkit.rng import derive_rng
-from tramkit.solver import _SCREEN_MIN_POINTS
+from tramkit.solver import _LLOYD_SCREEN_MIN, _SCREEN_MIN_POINTS, _reassign
 
-from oracles import brute_force_kmeans, dsquared_reference, lloyd_reference
+from oracles import (
+    brute_force_kmeans,
+    dsquared_reference,
+    lloyd_reference,
+    nearest_center_per_center,
+)
 
 
 def test_seeding_single_point():
@@ -49,6 +56,14 @@ def test_seeding_duplicates_when_short_on_mass():
     c = seed_dsquared(ws, 3, np.random.default_rng(1))
     assert c.k == 3
     assert np.all(c.centers == 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeding_overflowing_masses_raise(seed):
+    # the squared distances overflow to inf, and so does the D^2 cdf
+    ws = WeightedSet([[0.0], [1e200], [3e200]], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        seed_dsquared(ws, 3, np.random.default_rng(seed))
 
 
 def test_all_zero_weights_rejected():
@@ -84,6 +99,40 @@ def test_lloyd_restart_hits_bruteforce_often():
         if res.weighted_risk <= opt * (1 + 1e-9):
             hits += 1
     assert hits >= 80
+
+
+def test_lloyd_risk_history_never_increases_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    coord = st.floats(-100.0, 100.0, allow_nan=False)
+    weight = st.floats(0.0, 10.0, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, (n, 2), elements=coord),
+                arrays(np.float64, n, elements=weight).filter(lambda w: w.max() > 0),
+            )
+        ),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def never_increases(pw, k, seed):
+        ws = WeightedSet(*pw)
+        init = seed_dsquared(ws, k, np.random.default_rng(seed))
+        res = lloyd(ws, init, SolverConfig(k=k, rel_tol=0.0, max_iters=30))
+        hist = np.asarray(res.history)
+        # a rise only by rounding: a mean of n values is off by about
+        # n eps |x|, which moves the risk by a few n d eps of total weight
+        # times the largest squared coordinate
+        scale = ws.weights.sum() * np.abs(ws.points).max() ** 2
+        assert np.all(np.diff(hist) <= 1e-12 * scale)
+
+    never_increases()
 
 
 def test_lloyd_monotone_risk_history():
@@ -188,6 +237,9 @@ def _mixture(seed, n, d, k_true, spread=3.0):
 
 
 def _lloyd_cases():
+    # (points, weights, initial centers, rel_tol, max_iters); all but n_1
+    # and one_below_screen_size reach the size from which Lloyd screens
+    # points by their bounds
     n = 3 * _BLOCK_ROWS + 7
     pts = _mixture(31, n, 6, 8)
     uniform = np.full(n, 1.0 / n)
@@ -198,29 +250,102 @@ def _lloyd_cases():
     # win no point at the first assignment
     dup = np.vstack([pts[:3], pts[:2], pts[3:5] + 1e3])
     tiny = np.array([[2.0, -1.0]])
+    fixture = gen_synthetic(SyntheticSpec(n=12_000, d=10, k_true=10, seed=27)).data.points
+    # every point three times, and centers on points, two of them twice:
+    # exact ties between duplicated centers
+    twice = np.repeat(pts[: n // 3], 3, axis=0)
+    on_points = twice[[0, 0, 3, 6, 9, 9, 12, 15]]
+    below, at = _LLOYD_SCREEN_MIN - 1, _LLOYD_SCREEN_MIN
     return {
-        "mixture": (pts, uniform, init, 1e-6),
-        "weights_with_zeros": (pts, w, init, 0.0),
-        "empty_cluster_repair": (pts, w, dup, 0.0),
-        "k_1": (pts, uniform, pts[:1], 0.0),
-        "n_1": (tiny, np.ones(1), np.vstack([tiny, tiny + 1.0]), 0.0),
-        "fortran_ordered": (np.asfortranarray(pts), uniform, init, 0.0),
+        "mixture": (pts, uniform, init, 1e-6, 25),
+        "fixture_like_to_convergence": (fixture, np.ones(len(fixture)), fixture[30:40], 0.0, 100),
+        "weights_with_zeros": (pts, w, init, 0.0, 25),
+        "empty_cluster_repair": (pts, w, dup, 0.0, 25),
+        "duplicated_points_and_centers": (twice, np.ones(len(twice)), on_points, 0.0, 25),
+        "offset_1e6": (pts + 1e6, w, init + 1e6, 0.0, 25),
+        "offset_1e8": (pts + 1e8, w, init + 1e8, 0.0, 25),
+        "one_below_screen_size": (pts[:below], w[:below], init, 0.0, 25),
+        "at_screen_size": (pts[:at], w[:at], init, 0.0, 25),
+        "k_1": (pts, uniform, pts[:1], 0.0, 25),
+        "n_1": (tiny, np.ones(1), np.vstack([tiny, tiny + 1.0]), 0.0, 25),
+        "fortran_ordered": (np.asfortranarray(pts), uniform, init, 0.0, 25),
     }
+
+
+_REPAIRING_CASES = ("empty_cluster_repair", "duplicated_points_and_centers", "n_1")
 
 
 @pytest.mark.parametrize("case", list(_lloyd_cases()))
 def test_lloyd_equals_per_center_reference_bit_for_bit(case):
-    pts, w, init, rel_tol = _lloyd_cases()[case]
+    pts, w, init, rel_tol, max_iters = _lloyd_cases()[case]
     ws = WeightedSet(pts, w)
     # every layout is copied to C order
     assert ws.points.flags.c_contiguous
-    cfg = SolverConfig(k=init.shape[0], max_iters=25, rel_tol=rel_tol)
+    cfg = SolverConfig(k=init.shape[0], max_iters=max_iters, rel_tol=rel_tol)
     res = lloyd(ws, Centers(init), cfg)
-    centers, history, iterations, repairs = lloyd_reference(pts, w, init, 25, rel_tol)
+    centers, history, iterations, repairs = lloyd_reference(pts, w, init, max_iters, rel_tol)
     assert res.history == history
     assert res.iterations == iterations
     assert np.array_equal(res.centers.centers, centers)
-    assert (repairs > 0) == (case in ("empty_cluster_repair", "n_1"))
+    assert (repairs > 0) == (case in _REPAIRING_CASES)
+    if case == "fixture_like_to_convergence":
+        assert iterations >= 60
+
+
+def _below_exactly(value):
+    """The largest double at most the exact rational `value`."""
+    x = float(value)
+    return x if Fraction(x) <= value else float(np.nextafter(x, -np.inf))
+
+
+def _line_instance(offset):
+    """1-D points and centers at `offset`; in one dimension every distance
+    is the exact rational |x - c|."""
+    gen = np.random.default_rng(70)
+    line = np.concatenate([[1.0, 0.625, 3.0, 3.0], gen.uniform(-1.0, 6.0, 200)])
+    return line[:, None] + offset, np.array([[0.0], [1.25], [2.5], [5.0]]) + offset
+
+
+def _assert_bounds_hold(pts, centers, labels, lb):
+    for x, a, bound in zip(pts[:, 0], labels, lb):
+        for j, c in enumerate(centers[:, 0]):
+            if j != a:
+                assert Fraction(bound) <= abs(Fraction(x) - Fraction(c))
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**20])
+def test_kernel_bounds_stay_below_every_other_distance(offset):
+    # far from the origin the scores' rounding is large against the
+    # distances, and only the margin keeps the bounds valid
+    pts, centers = _line_instance(offset)
+    lb = np.empty(len(pts))
+    labels, _ = assign_nearest(pts, centers, _lb=lb)
+    assert lb.max() > 0
+    _assert_bounds_hold(pts, centers, labels, lb)
+
+
+@pytest.mark.parametrize("move", [(0, 2.0**-60), (2, 0.75)])
+def test_screened_step_keeps_labels_and_bounds(move):
+    # every bound starts at the exact distance to the nearest other
+    # center, as tight as a valid bound can be. Moving center 0 by 2^-60
+    # toward the point at 1.0 leaves that point's bound 1.0 within half a
+    # unit in the last place of its new distance, so only rounding the
+    # bound down keeps it valid; moving center 2 by 0.75 changes labels.
+    pts, before = _line_instance(0.0)
+    after = before.copy()
+    after[move[0], 0] += move[1]
+    labels, d2 = nearest_center_per_center(pts, before)
+    lb = np.array(
+        [
+            _below_exactly(min(abs(Fraction(x) - Fraction(c)) for j, c in enumerate(before[:, 0]) if j != a))
+            for x, a in zip(pts[:, 0], labels)
+        ]
+    )
+    _reassign(pts, np.abs(pts[:, 0]), after, before, labels, d2, lb)
+    want_labels, want_d2 = nearest_center_per_center(pts, after)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(d2, want_d2)
+    _assert_bounds_hold(pts, after, labels, lb)
 
 
 def _seeding_cases():

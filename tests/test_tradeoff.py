@@ -47,6 +47,31 @@ def test_pareto_data_time_relaxed_eps():
     assert all(b <= a for a, b in zip(times, times[1:]))
 
 
+def test_pareto_data_time_never_increases_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    record = st.builds(
+        rec,
+        st.integers(1, 50),
+        st.floats(0.0, 10.0, allow_nan=False),
+        st.floats(0.0, 10.0, allow_nan=False),
+        st.sampled_from(["uniform", "coreset"]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(record, min_size=1, max_size=20), st.floats(0.0, 12.0, allow_nan=False))
+    def never_increases(records, eps):
+        front = pareto_data_time(Lambda(tuple(records)), eps)
+        ns = [n for n, _ in front]
+        times = [t for _, t in front]
+        assert ns == sorted(set(ns))
+        assert all(b <= a for a, b in zip(times, times[1:]))
+
+    never_increases()
+
+
 def test_pareto_risk_time_hand_enumeration():
     assert pareto_risk_time(HAND_LAMBDA, 20) == [(1.0, 3.0), (9.0, 1.0)]
 
