@@ -168,78 +168,98 @@ _TINY = float(np.finfo(np.float64).tiny)
 _BIG = 1e300
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None):
-    """Labels and squared distances of each point's nearest center.
+def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None, groups=1):
+    """Labels and squared distances of each point's nearest center, per
+    group of centers: (groups, n) arrays.
+
+    `centers` stacks `groups` sets of k centers; each point is ranked
+    within every set, and its label is the row of `centers` it picked, so
+    group g's labels run from g k to g k + k - 1. One group is the plain
+    nearest-center assignment.
 
     Per block of rows, one GEMM scores every center by |c|^2 - 2 x.c. That
     differs from |x - c|^2 by |x|^2, the same for all centers of a point,
     so the lowest score marks the nearest center. The scores and the einsum
     of explicit differences are each within (d + 2) * (eps / 2) *
-    (|x| + max|c|)^2 of exact. So when every other score exceeds the best
-    by more than 2 * (d + 2) * eps * (|x| + max|c|)^2, the einsum values
-    have the same unique minimizer. Every other point (near ties, duplicate
-    centers, large coordinate offsets, overflow) is ranked again from
-    explicit differences to every center, ties going to the lowest index.
+    (|x| + max|c|)^2 of exact, with max|c| taken over the group. So when
+    every other score of the group exceeds the best by more than
+    2 * (d + 2) * eps * (|x| + max|c|)^2, the einsum values have the same
+    unique minimizer. Every other point (near ties, duplicate centers,
+    large coordinate offsets, overflow) is ranked again from explicit
+    differences to each of the group's centers, ties going to the lowest
+    index.
 
     The returned distance is always the explicit |x - c_label|^2, summed by
     the same row-wise einsum as a per-center loop of explicit differences.
-    So the result equals that loop bit for bit (`tests/oracles.py`), and a
-    point that coincides with its center gets exactly 0.
+    So each group's result equals that loop bit for bit
+    (`tests/oracles.py`), whatever the other groups and the block size, and
+    a point that coincides with its center gets exactly 0.
 
     `norms`, the row norms |x|, may come from a caller that assigns the
     same points repeatedly (Lloyd); they only set the tie margin. The block
-    scratch (the (k, rows) scores, which the near-best mask overwrites, the
-    margin row, the (2, rows) tally and the (rows, d) gathered centers) is
-    allocated once per call and never shared, so concurrent calls from
-    threads are safe.
+    scratch (the (groups k, rows) scores, which the near-best mask
+    overwrites, the margin rows, the (groups, 2, rows) tally, the
+    (groups rows, d) gathered centers and their distances) is allocated
+    once per call and never shared, so concurrent calls from threads are
+    safe. A block has `_BLOCK_ROWS // groups` rows, so the scratch does
+    not grow with the number of groups.
 
     `lb`, if given, is an (n,) array the kernel fills with a lower bound on
-    each point's distance to every center but its own: the square root of
-    its second-lowest score plus |x|^2, less the tie margin, clamped to
-    [0, _BIG]. The margin, 4 (d + 2) eps (|x| + max|c|)^2 plus `tiny`,
-    exceeds the score's error plus the rounding of |x|^2, of the two sums
-    and of the square root, at most (d + 6) eps (|x| + max|c|)^2, so the
-    bound holds. Points ranked on the exact path get 0. The mask then takes
-    a buffer of its own, since the scores are still needed.
+    each point's distance to every center but its own, for one group of
+    centers: the square root of its second-lowest score plus |x|^2, less
+    the tie margin, clamped to [0, _BIG]. The margin, 4 (d + 2) eps
+    (|x| + max|c|)^2 plus `tiny`, exceeds the score's error plus the
+    rounding of |x|^2, of the two sums and of the square root, at most
+    (d + 6) eps (|x| + max|c|)^2, so the bound holds. Points ranked on the
+    exact path get 0. The mask then takes a buffer of its own, since the
+    scores are still needed.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    # np.atleast_2d only where needed: its Python wrapper costs a few
+    # percent of a small assignment
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    if points.ndim != 2 or centers.ndim != 2:
+        points, centers = np.atleast_2d(points, centers)
     if points.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {points.shape[1]} != {centers.shape[1]}")
+    if lb is not None and groups != 1:
+        raise ValueError("lower bounds are kept for one group of centers only")
     n, d = points.shape
-    k = centers.shape[0]
+    k = centers.shape[0] // groups
     if norms is None:
         norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     neg2c = -2.0 * centers
-    cc = np.einsum("ij,ij->i", centers, centers)[:, None]
-    cmax = np.sqrt(cc.max())
+    cc = np.einsum("ij,ij->i", centers, centers).reshape(groups, k, 1)
+    cmax = np.sqrt(np.maximum.reduce(cc, axis=1))
     slack = _TIE_SLACK * (d + 2) * _EPS
-    # one (2, k) GEMM over the near-best mask counts, per point, the
-    # centers that score near the best and sums their indices
-    tally = np.ones((2, k))
-    tally[1] = np.arange(k)
-    labels = np.empty(n, dtype=np.intp)
-    d2 = np.empty(n)
+    # one (2, k) GEMM per group over the near-best mask counts, per point,
+    # the group's centers that score near its best and sums their rows
+    tally = np.empty((groups, 2, k))
+    tally[:, 0] = 1.0
+    tally[:, 1] = np.arange(groups * k).reshape(groups, k)
+    labels = np.empty((groups, n), dtype=np.intp)
+    d2 = np.empty((groups, n))
     # per-call scratch, since calls may run concurrently; flat, so every
     # block (the short last one too) takes the C-contiguous views that
     # np.dot's out= requires
-    rows = min(n, _BLOCK_ROWS)
-    score_buf = np.empty(k * rows)
-    tally_buf = np.empty(2 * rows)
-    tol_buf = np.empty(rows)
-    diff_buf = np.empty(rows * d)
+    step = max(1, _BLOCK_ROWS // groups)
+    rows = min(n, step)
+    score_buf = np.empty(groups * k * rows)
+    tally_buf = np.empty(groups * 2 * rows)
+    tol_buf = np.empty(groups * rows)
+    diff_buf = np.empty(groups * rows * d)
     mask_buf = score_buf if lb is None else np.empty(k * rows)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         m = hi - lo
         xb = points[lo:hi]
-        # (k, rows) scores, so each reduction over the centers is a few
-        # vector operations across the block, not one short one per point
-        scores = score_buf[: k * m].reshape(k, m)
-        np.dot(neg2c, xb.T, out=scores)
+        # (groups k, rows) scores, so each reduction over the centers is a
+        # few vector operations across the block, not one short one per point
+        scores = score_buf[: groups * k * m].reshape(groups, k, m)
+        np.dot(neg2c, xb.T, out=scores.reshape(groups * k, m))
         scores += cc
         # tiny covers absolute rounding in the subnormal range
-        tol = tol_buf[:m]
+        tol = tol_buf[: groups * m].reshape(groups, m)
         np.add(norms[lo:hi], cmax, out=tol)
         np.square(tol, out=tol)
         tol *= slack
@@ -247,42 +267,54 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None):
         if lb is not None:
             bound = lb[lo:hi]
             np.square(norms[lo:hi], out=bound)
-            bound -= tol
-        tol += scores.min(axis=0)
+            bound -= tol[0]
+        # ufunc and ndarray methods, not the np.* functions: their Python
+        # wrappers cost as much as the arithmetic of a small block
+        tol += np.minimum.reduce(scores, axis=1)
         # the near-best mask, in place of the scores unless `lb` needs
         # them: 1.0 where a center scores within the margin of the best
-        mask = mask_buf[: k * m].reshape(k, m)
-        np.less_equal(scores, tol, out=mask)
-        count_sum = tally_buf[: 2 * m].reshape(2, m)
-        np.dot(tally, mask, out=count_sum)
+        mask = mask_buf[: groups * k * m].reshape(groups, k, m)
+        np.less_equal(scores, tol[:, None], out=mask)
+        count_sum = tally_buf[: groups * 2 * m].reshape(groups, 2, m)
+        np.matmul(tally, mask, out=count_sum)
         if lb is not None:
             # where one center is near the best, the lowest of the other
             # scores; elsewhere a value the exact path below replaces
             mask *= _BIG
             scores += mask
-            bound += scores.min(axis=0)
+            bound += np.minimum.reduce(scores[0], axis=0)
             np.clip(bound, 0.0, _BIG, out=bound)
             np.sqrt(bound, out=bound)
-        # the index sum is the label wherever exactly one center is near
-        # the best; NaN scores (overflow) match no center and take the
-        # exact path too
-        lab = labels[lo:hi]
-        np.copyto(lab, count_sum[1], casting="unsafe")
-        close = np.flatnonzero(count_sum[0] != 1)
+        # the row sum is the label wherever exactly one center is near the
+        # best; NaN scores (overflow) match no center and take the exact
+        # path too
+        lab = labels[:, lo:hi]
+        np.copyto(lab, count_sum[:, 1], casting="unsafe")
+        close = (count_sum[:, 0] != 1).ravel().nonzero()[0]
         if close.size:
-            xc = xb[close]
-            exact = np.empty((close.size, k))
-            for j, c in enumerate(centers):
-                diff = xc - c
-                exact[:, j] = np.einsum("ij,ij->i", diff, diff)
-            lab[close] = exact.argmin(axis=1)
+            grp, close = np.divmod(close, m)
+            for g in np.unique(grp):
+                rank = close[grp == g]
+                xc = xb[rank]
+                exact = np.empty((rank.size, k))
+                for j, c in enumerate(centers[g * k : g * k + k]):
+                    diff = xc - c
+                    exact[:, j] = np.einsum("ij,ij->i", diff, diff)
+                lab[g, rank] = exact.argmin(axis=1) + g * k
             if lb is not None:
                 bound[close] = 0.0
-        diff = diff_buf[: m * d].reshape(m, d)
+        diff = diff_buf[: groups * m * d].reshape(groups, m, d)
         # mode="clip" writes straight into out (the labels are in range)
-        np.take(centers, lab, axis=0, out=diff, mode="clip")
+        centers.take(lab, axis=0, out=diff, mode="clip")
         np.subtract(xb, diff, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=d2[lo:hi])
+        diff = diff.reshape(groups * m, d)
+        # the block's distances are one run of d2 unless several groups
+        # share more than one block
+        dst = d2[:, lo:hi]
+        if dst.flags.c_contiguous:
+            np.einsum("ij,ij->i", diff, diff, out=dst.reshape(groups * m))
+        else:
+            dst[...] = np.einsum("ij,ij->i", diff, diff).reshape(groups, m)
     return labels, d2
 
 
@@ -294,19 +326,21 @@ def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.
     selects (see `_nearest`); coinciding points give exactly 0. `_norms`
     is the library's own channel for the points' precomputed row norms.
     """
-    return _nearest(points, centers, _norms)[1]
+    return _nearest(points, centers, _norms)[1][0]
 
 
-def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=None):
+def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=None, _groups=None):
     """Nearest-center labels and squared distances.
 
     Ties break toward the lowest center index (argmin convention); the
     distances are the same values `min_sq_dists` returns. `_norms` is the
-    library's own channel for the points' precomputed row norms, and `_lb`
-    for an array it fills with each point's lower bound on its distance to
-    the other centers (see `_nearest`).
+    library's own channel for the points' precomputed row norms, `_lb` for
+    an array it fills with each point's lower bound on its distance to the
+    other centers, and `_groups=G` for G stacked sets of centers ranked in
+    one pass, with (G, n) results (see `_nearest`).
     """
-    return _nearest(points, centers, _norms, _lb)
+    labels, d2 = _nearest(points, centers, _norms, _lb, _groups or 1)
+    return (labels, d2) if _groups else (labels[0], d2[0])
 
 
 def squared_dist(x, c: Centers) -> float:

@@ -34,19 +34,25 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(stable_seed(*parts))
 
 
-def mass_pick(mass: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probability mass[i]/sum(mass); mass must be >= 0
-    with a positive sum.
+def mass_pick(mass: np.ndarray, rng: np.random.Generator) -> int | None:
+    """Index drawn with probability mass[i]/sum(mass), or None, without a
+    draw, when every mass is 0; mass must be >= 0.
 
     Equivalent to Generator.choice(p=mass/mass.sum()) but without its
     per-call validation and normalization, which dominate tight sampling
     loops. The draw is scaled by the cumulative sum's own last entry, so it
-    always lands below it and the index is in range with positive mass.
-    Masses whose sum overflows (coordinates near 1e154 and above square to
-    inf in D^2 sampling) raise ValueError.
+    lands below it and the index is in range with positive mass; only a
+    subnormal sum can round the draw up to itself, and that draw takes the
+    last index with positive mass. Masses whose sum overflows (coordinates
+    near 1e154 and above square to inf in D^2 sampling) raise ValueError.
     """
-    cdf = np.cumsum(mass)
+    # the ndarray methods, not np.cumsum and np.searchsorted: their Python
+    # wrappers cost as much as the search on a small summary
+    cdf = mass.cumsum()
     total = float(cdf[-1])
     if not math.isfinite(total):
         raise ValueError(f"the masses overflow: their cumulative sum ends in {total}")
-    return int(np.searchsorted(cdf, rng.random() * total, side="right"))
+    if total == 0.0:
+        return None
+    idx = int(cdf.searchsorted(rng.random() * total, side="right"))
+    return idx if idx < cdf.size else int(cdf.searchsorted(total))

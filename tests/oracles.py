@@ -1,13 +1,16 @@
 """Independent oracles shared by the test suite.
 
 Everything here is written against the math directly (plain enumeration,
-no library calls) so it stays independent of the code paths it checks.
+no library calls but the seed substreams' addresses) so it stays
+independent of the code paths it checks.
 """
 
 import csv
 import io
 
 import numpy as np
+
+from tramkit.rng import derive_rng
 
 
 def brute_force_kmeans(points, weights, k):
@@ -121,16 +124,18 @@ def dsquared_reference(points, weights, k, rng):
     """Weighted k-means++ indices, allocating fresh arrays per center.
 
     Each draw picks index i with probability mass[i] / sum(mass) by
-    searching the cumulative sum, scaled by its last entry; once no point
-    carries mass the chosen indices repeat in order. Points are taken
-    C-ordered, the layout the library copies every input to.
+    searching the cumulative sum, scaled by its last entry; a draw that
+    rounds up to a subnormal sum takes the first index the sum reaches.
+    Once no point carries mass the chosen indices repeat in order. Points
+    are taken C-ordered, the layout the library copies every input to.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
 
     def pick(mass):
         cdf = np.cumsum(mass)
-        return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        u = rng.random() * cdf[-1]
+        return int(np.searchsorted(cdf, u, side="right" if u < cdf[-1] else "left"))
 
     chosen = [pick(w)]
     diff = pts - pts[chosen[0]]
@@ -144,6 +149,26 @@ def dsquared_reference(points, weights, k, rng):
         diff = pts - pts[chosen[-1]]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return chosen
+
+
+def solve_reference(ws, cfg):
+    """Best of cfg.restarts (D^2 seeding -> Lloyd) runs, one after another.
+
+    Restart r seeds with `dsquared_reference` from the substream
+    (cfg.seed, "restart", r), then runs `lloyd_reference`; the lowest final
+    risk wins, ties going to the earliest restart. Returns (centers,
+    risk, iterations, history) of the winner.
+    """
+    pts, w = ws.points, ws.weights
+    best = None
+    for r in range(cfg.restarts):
+        chosen = dsquared_reference(pts, w, cfg.k, derive_rng(cfg.seed, "restart", r))
+        centers, history, iterations, _ = lloyd_reference(
+            pts, w, pts[chosen], cfg.max_iters, cfg.rel_tol
+        )
+        if best is None or history[-1] < best[1]:
+            best = (centers, history[-1], iterations, history)
+    return best
 
 
 def csv_writer_bytes(points, header=True):

@@ -17,7 +17,7 @@ from tramkit import (
     weighted_risk,
 )
 from tramkit.rng import derive_rng
-from tramkit.solver import _SCREEN_MIN_POINTS
+from tramkit.solver import _SCORE_MIN_EVALS, _SCREEN_MIN_POINTS
 
 from oracles import brute_force_kmeans, nearest_center_per_center
 
@@ -72,6 +72,7 @@ def _bicriteria_cases():
          0.9768172663349678, 1.0889894472647956, 1.4408749099299134,
          0.5950760841697991, 0.6134750105883812, 2.1755154491613355]
     near_midpoint = np.array([c, x] + [a] * (_SCREEN_MIN_POINTS - 2))
+    score_at = -(-_SCORE_MIN_EVALS // 11)
     return {
         "mixture": (pts, 6),
         "below_screen_size": (pts[: _SCREEN_MIN_POINTS - 1], 6),
@@ -83,6 +84,14 @@ def _bicriteria_cases():
         "integer_lattice_ties": (lattice, 6),
         "integer_lattice_ties_below_screen_size": (lattice[: _SCREEN_MIN_POINTS - 1], 6),
         "rounding_at_the_screen_bound": (near_midpoint, 1),
+        # from _SCORE_MIN_EVALS evaluations (points times the 11 draws after
+        # the first) and below _SCREEN_MIN_POINTS, points are screened by a
+        # GEMV score, unless their squared norms reach 1e300
+        "below_score_size": (pts[: score_at - 1], 6),
+        "at_score_size": (pts[:score_at], 6),
+        "scored_offset_1e8": (pts[:2000] + 1e8, 6),
+        "scored_scale_1e-160": (pts[:2000] * 1e-160, 6),
+        "norms_past_1e300": (pts[:2000] * 1e149, 6),
     }
 
 
@@ -160,6 +169,49 @@ def test_unbiasedness_monte_carlo():
         vals[t] = weighted_risk(ws, cs)
     se = vals.std(ddof=1) / np.sqrt(draws)
     assert abs(vals.mean() - target) <= 2.0 * se
+
+
+def test_coreset_weights_make_the_risk_unbiased_property():
+    # the exact expectation over one draw: point i is drawn with probability
+    # q_i and weighs 1 / (s q_i n), so s * sum_i q_i w_i d2_i must be the
+    # empirical risk, at any centers, up to rounding
+    pytest.importorskip("hypothesis")
+    import math
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    coord = st.floats(-100.0, 100.0, allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 40), st.integers(1, 3), st.integers(1, 4)).flatmap(
+            lambda ndk: st.tuples(
+                arrays(np.float64, ndk[:2], elements=coord),
+                arrays(np.float64, (ndk[2], ndk[1]), elements=coord),
+                st.integers(1, ndk[0] - 1),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def unbiased(pcs, seed):
+        pts, centers, s = pcs
+        data = Dataset(pts)
+        n = data.n
+        p = CoresetParams(k=centers.shape[0], size=s, seed=seed)
+        # build_coreset's own bicriteria stream, so its weights are these
+        sigma = sensitivities(data, bicriteria_init(data, p, derive_rng(seed, "coreset")))
+        q = sigma / sigma.sum()
+        w = 1.0 / (s * q * n)
+        d2 = nearest_center_per_center(pts, centers)[1]
+        risk = empirical_risk(data, Centers(centers))
+        assert math.isclose(s * float(np.sum(q * w * d2)), risk, rel_tol=1e-12)
+        weight_at = {row.tobytes(): wi for row, wi in zip(data.points, w)}
+        ws = build_coreset(data, p)
+        assert all(weight_at[row.tobytes()] == wi for row, wi in zip(ws.points, ws.weights))
+
+    unbiased()
 
 
 def test_weight_sum_expectation_is_one():

@@ -21,13 +21,20 @@ from tramkit import (
 from tramkit.core import _BLOCK_ROWS, assign_nearest
 from tramkit.data import SyntheticSpec, gen_synthetic
 from tramkit.rng import derive_rng
-from tramkit.solver import _LLOYD_SCREEN_MIN, _SCREEN_MIN_POINTS, _reassign
+from tramkit.solver import (
+    _LLOYD_SCREEN_MIN,
+    _LOCKSTEP_MAX_POINTS,
+    _SCORE_MIN_EVALS,
+    _SCREEN_MIN_POINTS,
+    _reassign,
+)
 
 from oracles import (
     brute_force_kmeans,
     dsquared_reference,
     lloyd_reference,
     nearest_center_per_center,
+    solve_reference,
 )
 
 
@@ -348,6 +355,69 @@ def test_screened_step_keeps_labels_and_bounds(move):
     _assert_bounds_hold(pts, after, labels, lb)
 
 
+def _solve_cases(n):
+    """(points, weights, config) per case, for n summary points."""
+    pts = _mixture(35, n, 4, 6)
+    w = np.random.default_rng(36).exponential(size=n)
+    w[::5] = 0.0
+    uniform = np.ones(n)
+    # seven centers among three distinct points: every restart duplicates
+    few = np.repeat(np.array([[0.0, 1.0], [3.0, 3.0], [-2.0, 5.0]]), [n // 3, n // 3, n - 2 * (n // 3)], axis=0)
+    # a and b lie 2^-537 apart, so each one's squared distance to the other
+    # is the smallest subnormal; times b's weight 0.3 it rounds to 0, times
+    # a's weight 1 it does not. A restart that draws a before b runs out of
+    # D^2 mass one center short and duplicates one, which Lloyd must then
+    # repair; one that draws b first ends on a and repairs nothing.
+    far = np.repeat(np.array([[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0], [0.0, -10.0]]), (n - 2) // 4 + 1, axis=0)
+    pair = np.vstack([[[0.0, 0.0], [2.0**-537, 0.0]], far[: n - 2]])
+    pair_w = np.ones(n)
+    pair_w[1] = 0.3
+    cfg = SolverConfig
+    return {
+        "restarts_1": (pts, uniform, cfg(k=8, restarts=1, rel_tol=0.0, max_iters=40, seed=1)),
+        "restarts_2": (pts, uniform, cfg(k=8, restarts=2, rel_tol=1e-4, seed=2)),
+        "restarts_5": (pts, uniform, cfg(k=8, restarts=5, rel_tol=0.0, max_iters=40, seed=3)),
+        "restarts_5_stop_apart": (pts, uniform, cfg(k=8, restarts=5, rel_tol=1e-4, seed=4)),
+        "zero_weights": (pts, w, cfg(k=8, restarts=5, rel_tol=1e-4, seed=5)),
+        "one_restart_repairs": (pair, pair_w, cfg(k=6, restarts=5, rel_tol=0.0, max_iters=5, seed=0)),
+        "fewer_distinct_points_than_k": (few, uniform, cfg(k=7, restarts=3, rel_tol=0.0, max_iters=5, seed=6)),
+        "k_1": (pts, w, cfg(k=1, restarts=5, seed=7)),
+        "max_iters_1": (pts, w, cfg(k=8, restarts=5, max_iters=1, seed=8)),
+    }
+
+
+def _restart_runs(pts, w, cfg):
+    """(iterations, repairs) of each restart, from the oracles."""
+    runs = []
+    for r in range(cfg.restarts):
+        chosen = dsquared_reference(pts, w, cfg.k, derive_rng(cfg.seed, "restart", r))
+        _, _, iterations, repairs = lloyd_reference(pts, w, pts[chosen], cfg.max_iters, cfg.rel_tol)
+        runs.append((iterations, repairs))
+    return runs
+
+
+@pytest.mark.parametrize("n", [_LOCKSTEP_MAX_POINTS - 1, _LOCKSTEP_MAX_POINTS])
+@pytest.mark.parametrize("case", list(_solve_cases(10)))
+def test_solve_equals_reference_bit_for_bit(case, n):
+    # below the switch the restarts run in lockstep, from it one by one
+    pts, w, cfg = _solve_cases(n)[case]
+    ws = WeightedSet(pts, w)
+    res = solve(ws, cfg)
+    centers, risk, iterations, history = solve_reference(ws, cfg)
+    assert np.array_equal(res.centers.centers, centers)
+    assert res.weighted_risk == risk
+    assert res.iterations == iterations
+    assert res.history == history
+    runs = _restart_runs(ws.points, ws.weights, cfg)
+    stops, repairs = {it for it, _ in runs}, [rep > 0 for _, rep in runs]
+    if case == "restarts_5_stop_apart":
+        assert len(stops) > 1
+    if case == "one_restart_repairs":
+        assert any(repairs) and not all(repairs)
+    if case == "fewer_distinct_points_than_k":
+        assert all(repairs)
+
+
 def _seeding_cases():
     # most cases are at or above the size from which each D^2 step screens
     # points by the triangle inequality
@@ -360,6 +430,7 @@ def _seeding_cases():
     # two chosen centers
     lattice = np.indices((70, 70)).reshape(2, -1).T.astype(float)
     below, at = _SCREEN_MIN_POINTS - 1, _SCREEN_MIN_POINTS
+    score_at = -(-_SCORE_MIN_EVALS // 11)
     return {
         "mixture": (pts, np.full(5000, 1.0 / 5000), 12),
         "zero_weights": (pts, w, 12),
@@ -373,6 +444,17 @@ def _seeding_cases():
         "integer_lattice_ties": (lattice, np.ones(len(lattice)), 12),
         "one_below_screen_size": (pts[:below], w[:below], 12),
         "at_screen_size": (pts[:at], w[:at], 12),
+        # from _SCORE_MIN_EVALS evaluations (points times the draws after
+        # the first) and below _SCREEN_MIN_POINTS, points are screened by a
+        # GEMV score, unless their squared norms reach 1e300
+        "one_below_score_size": (pts[: score_at - 1], w[: score_at - 1], 12),
+        "at_score_size": (pts[:score_at], w[:score_at], 12),
+        "scored_offset_1e8": (pts[:2000] + 1e8, w[:2000], 12),
+        "scored_scale_1e-160": (pts[:2000] * 1e-160, w[:2000], 12),
+        "scored_duplicated_points": (np.repeat(pts[:200], 10, axis=0), w[:2000], 12),
+        "scored_integer_lattice_ties": (lattice[:2000], np.ones(2000), 12),
+        "scored_fewer_distinct_points_than_k": (many_few[:3500], np.ones(3500), 7),
+        "norms_past_1e300": (pts[:2000] * 1e149, w[:2000], 12),
     }
 
 
@@ -443,10 +525,12 @@ def test_seed_dsquared_does_not_depend_on_memory_layout():
 
 def test_kernel_and_solve_are_thread_safe():
     # per-call scratch: concurrent calls on different inputs must each get
-    # the serial result, which shared buffers would mix up
+    # the serial result, which shared buffers would mix up. The last two
+    # inputs are below the size from which solve runs its restarts one by
+    # one, so their restarts share grouped kernel calls.
     inputs = []
-    for i in range(4):
-        pts = _mixture(40 + i, 2 * _BLOCK_ROWS + 3, 5, 6)
+    for i, n in enumerate([2 * _BLOCK_ROWS + 3] * 4 + [_LOCKSTEP_MAX_POINTS - 1] * 2):
+        pts = _mixture(40 + i, n, 5, 6)
         cs = _mixture(50 + i, 6, 5, 6)
         inputs.append((pts, cs, uniform_weighted(Dataset(pts))))
     cfg = SolverConfig(k=6, max_iters=15, rel_tol=0.0, restarts=2)
@@ -457,17 +541,17 @@ def test_kernel_and_solve_are_thread_safe():
         res = solve(ws, cfg)
         return labels, d2, res.centers.centers, res.history
 
-    serial = [work(i) for i in range(4)]
+    serial = [work(i) for i in range(len(inputs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(work, i % 4) for i in range(12)]
+            futures = [pool.submit(work, i % len(inputs)) for i in range(3 * len(inputs))]
             results = [f.result(timeout=300) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for i, got in enumerate(results):
-        want = serial[i % 4]
+        want = serial[i % len(inputs)]
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b)
         assert got[3] == want[3]
