@@ -154,8 +154,13 @@ def cmd_pareto(args, outputs: list[str]) -> None:
 
 
 def cmd_tram(args, outputs: list[str]) -> None:
-    data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
-    train, validation = split_validation(data, args.val_fraction, seed=args.seed)
+    # the parsed points go once the split has copied them, so navigation
+    # holds one copy of the data
+    train, validation = split_validation(
+        load_csv(args.input, has_header=_HAS_HEADER[args.header]),
+        args.val_fraction,
+        seed=args.seed,
+    )
     params = TramParams(
         eps_total=args.eps,
         delta=args.delta,

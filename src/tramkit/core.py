@@ -74,8 +74,17 @@ class Dataset:
 
     def bound_radius(self) -> float:
         """Support radius B: the max point norm, so every point lies in the
-        ball of radius B at the origin."""
-        return float(np.sqrt((self.points**2).sum(axis=1).max()))
+        ball of radius B at the origin.
+
+        The squared norms are taken `_BLOCK_ROWS` rows at a time, each row
+        summed as `(points**2).sum(axis=1)` sums it, so the scan holds one
+        block of squares and B is the same float.
+        """
+        top = 0.0
+        for lo in range(0, self.n, _BLOCK_ROWS):
+            block = self.points[lo : lo + _BLOCK_ROWS]
+            top = max(top, float((block * block).sum(axis=1).max()))
+        return float(np.sqrt(top))
 
     def prefix(self, m: int) -> "Dataset":
         """Truncation to the first m points (shares memory)."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _wrap
+from .core import _BLOCK_ROWS, Dataset, _wrap
 from .rng import derive_rng
 
 __all__ = [
@@ -69,15 +69,24 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
 
     Mixture weights are drawn once per spec; component memberships are
     multinomial draws against those weights (no exact quotas).
+
+    The noise is drawn as the output array, and each point's mean is added
+    into it `_BLOCK_ROWS` rows at a time, so generation holds one (n, d)
+    array and a block of gathered means. Addition commutes in IEEE
+    arithmetic, so each point is the bits of `means[comp] + noise`.
     """
     rng = derive_rng(spec.seed, "synthetic")
     lo, hi = spec.box
     weights = _dirichlet(spec.dirichlet_alpha, spec.k_true, rng)
     means = rng.uniform(lo, hi, size=(spec.k_true, spec.d))
     comp = rng.choice(spec.k_true, size=spec.n, p=weights)
-    pts = means[comp]
-    if spec.sigma2 > 0:
-        pts = pts + rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
+    if spec.sigma2 == 0:
+        pts = np.take(means, comp, axis=0)
+    else:
+        pts = rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
+        for start in range(0, spec.n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            pts[rows] += np.take(means, comp[rows], axis=0)
     return SyntheticResult(data=_wrap(Dataset, pts), means=means, weights=weights)
 
 

@@ -289,9 +289,10 @@ def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, 
 _LLOYD_SCREEN_MIN = 8192
 
 
-def _reassign(pts, norms, centers, moved, labels, d2, lb) -> int:
+def _reassign(pts, norms, centers, moved, labels, d2, lb) -> tuple[int, bool]:
     """One screened assignment of `lloyd`, in place: labels, d2, lb.
-    Returns the number of points that failed the screen.
+    Returns the number of points that failed the screen, and whether any
+    of them changed its label (the others keep theirs).
 
     `moved` holds the centers the labels and bounds were computed for.
     `lloyd`'s docstring gives the error argument; the points that fail the
@@ -329,15 +330,18 @@ def _reassign(pts, norms, centers, moved, labels, d2, lb) -> int:
         t -= _TINY
         np.less(d2[lo:hi], t, out=keep[lo:hi])
     stale = np.flatnonzero(~keep)
+    changed = False
     for lo in range(0, stale.size, _BLOCK_ROWS):
         part = stale[lo : lo + _BLOCK_ROWS]
         sub = diff[: part.size * d].reshape(part.size, d)
         # mode="clip" writes straight into out (the indices are in range)
         np.take(pts, part, axis=0, out=sub, mode="clip")
         t = bound[: part.size]
-        labels[part], d2[part] = assign_nearest(sub, centers, _norms=norms[part], _lb=t)
+        lab, d2[part] = assign_nearest(sub, centers, _norms=norms[part], _lb=t)
+        changed = changed or not np.array_equal(lab, labels[part])
+        labels[part] = lab
         lb[part] = t
-    return stale.size
+    return stale.size, changed
 
 
 def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
@@ -376,6 +380,11 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
     every lb: the screen's own-center pass and row gather would cost more
     than they save. So labels, distances and every later value are the
     plain loop's bits.
+
+    The centers an update computes depend on the labels alone. So when an
+    iteration that would continue leaves every label as it was, the next
+    would repeat its centers, labels and risk and then stop: it is recorded
+    (its risk appended, the iteration counted) without being run.
     """
     if ws.d != init.d:
         raise ValueError("dimension mismatch between points and centers")
@@ -428,10 +437,13 @@ def _lloyd(ws: WeightedSet, centers: np.ndarray, groups: int, cfg: SolverConfig)
             for a in np.unique(grp):
                 _repair_empty(centers[a * k : a * k + k], empties[grp == a], pts, w, norms)
         if rank_all:
-            labels, d2 = assign_nearest(pts, centers, _norms=norms, _lb=lb, _groups=g)
+            ranked, d2 = assign_nearest(pts, centers, _norms=norms, _lb=lb, _groups=g)
+            frozen = (ranked == labels).all(axis=1)
+            labels = ranked
             stale = 0
         else:
-            stale = _reassign(pts, norms, centers, moved, labels[0], d2[0], lb)
+            stale, changed = _reassign(pts, norms, centers, moved, labels[0], d2[0], lb)
+            frozen = [not changed]
         stay = []
         for a, r in enumerate(running):
             history = histories[r]
@@ -439,15 +451,19 @@ def _lloyd(ws: WeightedSet, centers: np.ndarray, groups: int, cfg: SolverConfig)
             improvement = history[-1] - risk
             history.append(risk)
             if improvement > cfg.rel_tol * max(risk, _TINY) and it < cfg.max_iters:
-                stay.append(a)
-                continue
+                if not frozen[a]:
+                    stay.append(a)
+                    continue
+                # no label changed: the next iteration would repeat these
+                # centers, labels and risk, so it is recorded, not run
+                history.append(risk)
             # the validating constructor, not _wrap: the means are computed
             # values, and its finiteness check is the only guard if one
             # overflows
             results[r] = SolveResult(
                 centers=Centers(centers[a * k : a * k + k]),
                 weighted_risk=risk,
-                iterations=it,
+                iterations=len(history) - 1,
                 history=tuple(history),
             )
         if not stay:

@@ -108,12 +108,16 @@ class Lambda:
 
 def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRecord:
     n, s = grid.n_values[ni], grid.s_values[sj]
+    # a uniform summary of s < n points gathers its rows straight from the
+    # reference, through the sample's indices, so no n-row sample is built
+    gather = grid.procedure == "uniform" and s < n
     times, risks = [], []
     for rep in range(grid.repeats):
         # substreams are keyed without the procedure name, so uniform and
         # coreset sweeps see identical samples and solver seeds per cell
         sample_rng = derive_rng(grid.seed, "sample", ni, sj, rep)
-        sample = reference.subset(sample_rng.choice(reference.n, size=n, replace=False))
+        idx = sample_rng.choice(reference.n, size=n, replace=False)
+        sample = None if gather else reference.subset(idx)
         solver = replace(grid.solver, seed=stable_seed(grid.seed, "solve", ni, sj, rep))
 
         t0 = time.perf_counter()
@@ -127,10 +131,11 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
                     seed=stable_seed(grid.seed, "summarize", ni, sj, rep),
                 ),
             )
+        elif gather:
+            summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
+            pick = summ_rng.choice(n, size=s, replace=False)
+            summary = uniform_weighted(reference.subset(idx.take(pick)))
         else:
-            if s < n:
-                summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
-                sample = sample.subset(summ_rng.choice(n, size=s, replace=False))
             summary = uniform_weighted(sample)
         result = solve(summary, solver)
         times.append(time.perf_counter() - t0)

@@ -171,6 +171,26 @@ def solve_reference(ws, cfg):
     return best
 
 
+def mixture_reference(spec):
+    """The Gaussian mixture of `spec` as one gather plus one noise array.
+
+    Draws, in order from the substream (seed, "synthetic"): Gamma weights,
+    normalized; uniform means in the box; multinomial memberships; and,
+    for sigma2 > 0, the (n, d) normal noise, added to the gathered means
+    whole. Returns (points, means, weights).
+    """
+    rng = derive_rng(spec.seed, "synthetic")
+    g = rng.gamma(spec.dirichlet_alpha, 1.0, size=spec.k_true)
+    total = g.sum()
+    weights = g / total if total > 0 and np.isfinite(total) else np.full(spec.k_true, 1.0 / spec.k_true)
+    means = rng.uniform(*spec.box, size=(spec.k_true, spec.d))
+    comp = rng.choice(spec.k_true, size=spec.n, p=weights)
+    pts = means[comp]
+    if spec.sigma2 > 0:
+        pts = pts + rng.normal(0.0, np.sqrt(spec.sigma2), size=(spec.n, spec.d))
+    return pts, means, weights
+
+
 def csv_writer_bytes(points, header=True):
     """The file `csv.writer` makes of the points, one repr per float and an
     x0, x1, ... header: the bytes `save_csv` must write."""

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -84,6 +85,38 @@ def test_tram_centers_file_is_csv_writer_rendering(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert centers.read_bytes() == csv_writer_bytes(traces[0].final_centers.centers)
+
+
+def test_tram_releases_the_parsed_points_before_navigating(tmp_path, monkeypatch):
+    # the split copies the points, so navigation holds one copy of them
+    data = tmp_path / "data.csv"
+    write_blobs(data, n=400)
+    real_load_csv, real_run_tram = cli.load_csv, cli.run_tram
+    loaded, alive = [], []
+
+    def load_csv(*args, **kwargs):
+        dataset = real_load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def run_tram(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return real_run_tram(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", load_csv)
+    monkeypatch.setattr(cli, "run_tram", run_tram)
+    rc = main(
+        [
+            "tram",
+            "--input", str(data),
+            "--eps", "0.55",
+            "--k", "3",
+            "--seed", "4",
+            "--trace-out", str(tmp_path / "trace.csv"),
+        ]
+    )
+    assert rc == 0
+    assert alive == [False]
 
 
 def test_gen_missing_flag_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ def test_types_are_immutable():
 def test_bound_radius_defaults_to_max_norm():
     data = Dataset([[3.0, 4.0], [0.0, 1.0]])
     assert data.bound_radius() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 10_000])
+@pytest.mark.parametrize("d", [1, 10])
+def test_bound_radius_equals_the_whole_array_formula(n, d):
+    x = np.random.default_rng(n + d).normal(3.0, 50.0, size=(n, d))
+    assert Dataset(x).bound_radius() == float(np.sqrt((x**2).sum(axis=1).max()))
+
+
+def test_bound_radius_scans_one_block_at_a_time():
+    d = 10
+    data = Dataset(np.random.default_rng(4).normal(size=(12 * B, d)))
+    data.bound_radius()
+    tracemalloc.start()
+    try:
+        data.bound_radius()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of squares and its row sums, plus small objects; the
+    # squares of every point would take 12 blocks
+    assert peak <= B * (d + 1) * 8 + 4096
 
 
 def test_prefix_and_subset():

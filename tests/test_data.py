@@ -1,14 +1,16 @@
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from tramkit import Dataset, SyntheticSpec, gen_synthetic, load_csv, save_csv, split_validation
+from tramkit.core import _BLOCK_ROWS
 from tramkit.data import _WRITE_ROWS, save_mixture_meta
 
-from oracles import csv_writer_bytes
+from oracles import csv_writer_bytes, mixture_reference
 
 
 def test_sigma_zero_collapses_to_means():
@@ -49,6 +51,37 @@ def test_weights_sum_to_one_and_determinism():
     assert np.array_equal(a.data.points, b.data.points)
     c = gen_synthetic(SyntheticSpec(n=100, d=2, k_true=5, seed=4))
     assert not np.array_equal(a.data.points, c.data.points)
+
+
+@pytest.mark.parametrize("k_true", [1, 7])
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 10_000])
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("sigma2", [0.0, 5.0])
+def test_gen_synthetic_equals_gathered_means_plus_noise(sigma2, d, n, k_true):
+    # the means are added into the noise block by block; addition commutes,
+    # so every point keeps the bits of means[comp] + noise
+    spec = SyntheticSpec(n=n, d=d, k_true=k_true, sigma2=sigma2, seed=n + d)
+    res = gen_synthetic(spec)
+    pts, means, weights = mixture_reference(spec)
+    assert np.array_equal(res.data.points, pts)
+    assert np.array_equal(res.means, means)
+    assert np.array_equal(res.weights, weights)
+
+
+def test_gen_synthetic_holds_one_copy_of_the_points():
+    spec = SyntheticSpec(n=60_000, d=10, k_true=10, seed=3)
+    # numpy's first calls allocate caches of their own
+    gen_synthetic(SyntheticSpec(n=10, d=10, k_true=10, seed=3))
+    tracemalloc.start()
+    try:
+        res = gen_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the memberships and two blocks of gathered means; a
+    # gather of every mean next to the noise holds twice the output
+    block = _BLOCK_ROWS * spec.d * 8
+    assert peak <= res.data.points.nbytes + spec.n * np.dtype(np.intp).itemsize + 2 * block
 
 
 def test_generated_points_pass_dataset_invariants():

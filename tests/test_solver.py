@@ -18,6 +18,7 @@ from tramkit import (
     uniform_weighted,
     weighted_risk,
 )
+import tramkit.solver as solver_module
 from tramkit.core import _BLOCK_ROWS, assign_nearest
 from tramkit.data import SyntheticSpec, gen_synthetic
 from tramkit.rng import derive_rng
@@ -299,6 +300,72 @@ def test_lloyd_equals_per_center_reference_bit_for_bit(case):
         assert iterations >= 60
 
 
+def _count_passes(monkeypatch, n):
+    """The kinds of the assignment passes Lloyd makes over n points, in
+    order: "full" for a kernel call on every point, "screened" for a
+    bound-screened reassignment."""
+    passes = []
+    kernel, reassign = solver_module.assign_nearest, solver_module._reassign
+
+    def counted_kernel(points, *args, **kwargs):
+        if len(points) == n:
+            passes.append("full")
+        return kernel(points, *args, **kwargs)
+
+    def counted_reassign(*args):
+        passes.append("screened")
+        return reassign(*args)
+
+    monkeypatch.setattr(solver_module, "assign_nearest", counted_kernel)
+    monkeypatch.setattr(solver_module, "_reassign", counted_reassign)
+    return passes
+
+
+def _four_far_clusters(n):
+    # one center per cluster: the first update moves each to its cluster's
+    # mean, and no label changes after that
+    corners = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+    return corners[np.arange(n) % 4] + np.random.default_rng(n).normal(size=(n, 2))
+
+
+@pytest.mark.parametrize("case", ["plain", "screened", "to_convergence"])
+def test_lloyd_records_the_iteration_after_labels_freeze_without_running_it(monkeypatch, case):
+    if case == "to_convergence":
+        # the labels freeze after 77 iterations, in a screened pass
+        pts, w, init, rel_tol, max_iters = _lloyd_cases()["fixture_like_to_convergence"]
+    else:
+        pts = _four_far_clusters(100 if case == "plain" else _LLOYD_SCREEN_MIN)
+        w, init, rel_tol, max_iters = np.ones(len(pts)), pts[:4], 1e-4, 100
+    passes = _count_passes(monkeypatch, len(pts))
+    res = lloyd(WeightedSet(pts, w), Centers(init), SolverConfig(k=len(init), max_iters=max_iters, rel_tol=rel_tol))
+    centers, history, iterations, _ = lloyd_reference(pts, w, init, max_iters, rel_tol)
+    assert (res.iterations, res.history) == (iterations, history)
+    assert np.array_equal(res.centers.centers, centers)
+    assert history[-1] == history[-2]
+    # one pass for the initial centers and one per iteration run: the last
+    # iteration, which only repeats the one before, is not run
+    assert len(passes) == iterations
+    if case == "to_convergence":
+        assert iterations > 2 and passes[-1] == "screened"
+    else:
+        assert iterations == 2
+
+
+def test_lockstep_restarts_skip_the_repeated_iteration(monkeypatch):
+    pts = _four_far_clusters(200)
+    ws = WeightedSet(pts, np.ones(len(pts)))
+    cfg = SolverConfig(k=4, restarts=3, rel_tol=1e-4, seed=2)
+    passes = _count_passes(monkeypatch, len(pts))
+    res = solve(ws, cfg)
+    centers, risk, iterations, history = solve_reference(ws, cfg)
+    assert (res.weighted_risk, res.iterations, res.history) == (risk, iterations, history)
+    assert np.array_equal(res.centers.centers, centers)
+    # every restart seeds one center per cluster and freezes in its first
+    # iteration: one grouped pass for the seeds and one for that iteration
+    assert iterations == 2
+    assert passes == ["full", "full"]
+
+
 def _below_exactly(value):
     """The largest double at most the exact rational `value`."""
     x = float(value)
@@ -348,8 +415,10 @@ def test_screened_step_keeps_labels_and_bounds(move):
             for x, a in zip(pts[:, 0], labels)
         ]
     )
-    _reassign(pts, np.abs(pts[:, 0]), after, before, labels, d2, lb)
+    old_labels = labels.copy()
+    _, changed = _reassign(pts, np.abs(pts[:, 0]), after, before, labels, d2, lb)
     want_labels, want_d2 = nearest_center_per_center(pts, after)
+    assert changed == (not np.array_equal(old_labels, want_labels))
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(d2, want_d2)
     _assert_bounds_hold(pts, after, labels, lb)

@@ -1,3 +1,6 @@
+import statistics
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,15 @@ from tramkit import (
     LambdaRecord,
     SolverConfig,
     SweepGrid,
+    empirical_risk,
     oracle_times,
     pareto_data_time,
     pareto_risk_time,
     run_sweep,
+    solve,
+    uniform_weighted,
 )
+from tramkit.rng import derive_rng, stable_seed
 
 
 def rec(n, t, risk, proc="uniform", s=1):
@@ -173,6 +180,33 @@ def test_coreset_covers_rare_cluster_better():
     rc = run_sweep(data, grid_c).records[0]
     se = np.hypot(ru.std_risk / np.sqrt(ru.repeats), rc.std_risk / np.sqrt(rc.repeats))
     assert rc.mean_risk <= ru.mean_risk + 2.0 * se
+
+
+def test_uniform_risks_equal_sampling_then_summarizing_the_sample():
+    # a uniform cell gathers its summary straight from the reference; the
+    # rows are those of its sample's subset, so the risks keep their bits
+    data = two_cluster_line(200, seed=8)
+    grid = SweepGrid(
+        n_values=(60, 120),
+        s_values=(4, 60, 200),
+        procedure="uniform",
+        solver=SolverConfig(k=2, restarts=2, seed=9),
+        repeats=3,
+        seed=9,
+    )
+    lam = run_sweep(data, grid)
+    for record, (ni, sj) in zip(lam.records, [(i, j) for i in range(2) for j in range(3)]):
+        n, s = grid.n_values[ni], grid.s_values[sj]
+        risks = []
+        for rep in range(grid.repeats):
+            sample = data.subset(derive_rng(9, "sample", ni, sj, rep).choice(data.n, size=n, replace=False))
+            if s < n:
+                sample = sample.subset(derive_rng(9, "summarize", ni, sj, rep).choice(n, size=s, replace=False))
+            solver = replace(grid.solver, seed=stable_seed(9, "solve", ni, sj, rep))
+            risks.append(empirical_risk(data, solve(uniform_weighted(sample), solver).centers))
+        assert (record.n, record.s) == (n, s)
+        assert record.mean_risk == statistics.fmean(risks)
+        assert record.std_risk == statistics.pstdev(risks)
 
 
 def test_sweep_rejects_oversized_grid():
