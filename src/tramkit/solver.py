@@ -178,10 +178,9 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
     could overflow, take the triangle screen at any size.
     """
     n, d = pts.shape
-    # as many rows at a time as the plain loop takes at once: a difference
-    # buffer the size of the points would add megabytes to the peak memory
-    # and evict the cache
-    rows = _SCREEN_MIN_POINTS
+    # the kernel's block: a difference buffer the size of the points would
+    # add megabytes to the peak memory and evict the cache
+    rows = _BLOCK_ROWS
     diff = np.empty(min(n, rows) * d)
     mass = np.empty(n)
     owner = np.zeros(n, dtype=np.intp)
@@ -270,22 +269,34 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
 
 def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, norms) -> None:
     # a dead center is re-placed at the positive-weight point with the
-    # largest weighted squared distance to its nearest center, updating
-    # distances between repairs so two dead centers never grab one point
+    # largest weighted squared distance to its nearest live center. A dead
+    # row holds its zero centroid sum, not a center, so it counts only once
+    # re-placed: then two dead centers never grab one point
+    live = np.ones(len(centers), dtype=bool)
+    live[empties] = False
     for j in sorted(empties):
-        score = w * min_sq_dists(pts, centers, _norms=norms)
+        score = w * min_sq_dists(pts, centers[live], _norms=norms)
         score[w <= 0] = -1.0
         centers[j] = pts[int(score.argmax())]
+        live[j] = True
 
 
 # Summary size from which Lloyd re-ranks only the points whose label a
-# center move can change. Below it the screen's own-center pass costs more
-# than the ranking it saves. On prefixes of the fixture data (d = 10,
-# k = 10, 2 vCPUs, OpenBLAS on 1 thread) 3-restart screened solves took
-# 0.82x the plain loop's time at 8,192 points with rel_tol = 0 and 0.96x
-# with rel_tol = 1e-4 (fewer late iterations repay the early ones), 0.91x
-# and 1.00x at 6,000, and 0.99x and 1.09x at 4,096; so small summaries
-# keep the plain loop.
+# center move can change, and from which `solve` runs its restarts one by
+# one. Below it the screen's own-center pass costs more than the ranking
+# it saves. On prefixes of the fixture data (d = 10, k = 10, 2 vCPUs,
+# OpenBLAS on 1 thread) 3-restart screened solves took 0.82x the plain
+# loop's time at 8,192 points with rel_tol = 0 and 0.96x with
+# rel_tol = 1e-4 (fewer late iterations repay the early ones), 0.91x and
+# 1.00x at 6,000, and 0.99x and 1.09x at 4,096; so small summaries keep
+# the plain loop. There several restarts run in lockstep, since a grouped
+# kernel pass, centroid update or D^2 step pays its per-call overhead once
+# for all of them: lockstep solves took, as a median ratio to one restart
+# after another, 0.77-0.87x at 1,024 points, 0.82-0.98x at 1,500 to 6,500
+# and 0.96x at 8,191 (5 restarts with rel_tol = 0 and 2 with 1e-4, on
+# fixture prefixes and on coresets of its 48k prefix). From the switch on,
+# one-by-one restarts get the screened Lloyd and the triangle-screened
+# D^2, whose per-point state serves one set of centers only.
 _LLOYD_SCREEN_MIN = 8192
 
 
@@ -478,41 +489,23 @@ def _lloyd(ws: WeightedSet, centers: np.ndarray, groups: int, cfg: SolverConfig)
     return results
 
 
-# Summary size below which `solve` runs its restarts in lockstep. On a
-# small summary a Lloyd iteration or a D^2 step costs mostly fixed per-call
-# overhead, which one grouped call pays once for all restarts. On prefixes
-# of the fixture data (d = 10, k = 10, 2 vCPUs, OpenBLAS on 1 thread)
-# lockstep solves took, as a median ratio to one restart after another,
-# 0.54x at 50 points and 0.77x at 1,000 with 5 restarts and rel_tol = 0,
-# and 0.87-0.92x at 100 to 1,000 points with 2 restarts and rel_tol = 1e-4,
-# no single solve reading above 0.99x. From 1,200 points single 2-restart
-# solves read up to 1.03-1.05x, so larger summaries run one by one.
-_LOCKSTEP_MAX_POINTS = 1024
-
-
 def solve(ws: WeightedSet, cfg: SolverConfig) -> SolveResult:
     """Best of cfg.restarts independent (seed_dsquared -> lloyd) pipelines.
 
     Restart r draws its seeding from the substream (cfg.seed, "restart", r);
-    ties in risk keep the earliest restart. Below `_LOCKSTEP_MAX_POINTS`
-    summary points all restarts run in lockstep, sharing each D^2 step,
-    kernel pass and centroid update; from it they run one after another.
-    Either way each restart computes the same bits, so the result does not
-    depend on the switch.
+    ties in risk keep the earliest restart. Below `_LLOYD_SCREEN_MIN`
+    summary points several restarts run in lockstep, sharing each D^2 step,
+    kernel pass and centroid update; from it they run one after another,
+    each with the screened Lloyd. Either way each restart computes the same
+    bits, so the result does not depend on the switch.
     """
     rngs = [derive_rng(cfg.seed, "restart", r) for r in range(cfg.restarts)]
-    batches = [rngs] if ws.size < _LOCKSTEP_MAX_POINTS else [[rng] for rng in rngs]
-    best: SolveResult | None = None
-    for batch in batches:
-        if len(batch) == 1:
-            # the public steps, whose calls and iterations stay countable
-            results = [lloyd(ws, seed_dsquared(ws, cfg.k, batch[0]), cfg)]
-        else:
-            chosen = _dsquared(ws, cfg.k, batch, owners=False)[0]
-            centers = np.take(ws.points, np.concatenate(chosen), axis=0)
-            results = _lloyd(ws, centers, len(batch), cfg)
-        for res in results:
-            if best is None or res.weighted_risk < best.weighted_risk:
-                best = res
-    assert best is not None
-    return best
+    if cfg.restarts > 1 and ws.size < _LLOYD_SCREEN_MIN:
+        chosen = _dsquared(ws, cfg.k, rngs, owners=False)[0]
+        centers = np.take(ws.points, np.concatenate(chosen), axis=0)
+        results = _lloyd(ws, centers, cfg.restarts, cfg)
+    else:
+        # the public steps, whose calls and iterations stay countable
+        results = [lloyd(ws, seed_dsquared(ws, cfg.k, rng), cfg) for rng in rngs]
+    # min keeps the first of equal minima: the earliest restart
+    return min(results, key=lambda res: res.weighted_risk)

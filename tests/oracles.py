@@ -85,7 +85,8 @@ def lloyd_reference(points, weights, init, max_iters, rel_tol):
     Each iteration takes fresh arrays: a column-wise weighted `bincount`
     update over the (n, d) weighted points, then the solver's repair rule
     for centers left without weight (re-place each, in index order, at the
-    positive-weight point of largest weighted squared distance). Points are
+    positive-weight point of largest weighted squared distance to the
+    centers that kept weight or were already re-placed). Points are
     taken C-ordered, the layout whose einsum the kernel reproduces.
     Returns (centers, history, iterations, repairs).
     """
@@ -105,9 +106,10 @@ def lloyd_reference(points, weights, init, max_iters, rel_tol):
         alive = wsum > 0
         centers[alive] /= wsum[alive, None]
         for j in np.flatnonzero(~alive):
-            score = w * nearest_center_per_center(pts, centers)[1]
+            score = w * nearest_center_per_center(pts, centers[alive])[1]
             score[w <= 0] = -1.0
             centers[j] = pts[int(score.argmax())]
+            alive[j] = True
             repairs += 1
         labels, d2 = nearest_center_per_center(pts, centers)
         new_risk = float(w @ d2)

@@ -24,7 +24,6 @@ from tramkit.data import SyntheticSpec, gen_synthetic
 from tramkit.rng import derive_rng
 from tramkit.solver import (
     _LLOYD_SCREEN_MIN,
-    _LOCKSTEP_MAX_POINTS,
     _SCORE_MIN_EVALS,
     _SCREEN_MIN_POINTS,
     _reassign,
@@ -229,6 +228,23 @@ def test_empty_cluster_repair_recovers_split():
     assert res.weighted_risk == pytest.approx(opt, rel=1e-12)
 
 
+def test_empty_cluster_repair_scores_against_live_centers_only():
+    # ties go to the first copy of 10, so the second wins no point. Its row
+    # then holds a zero centroid sum, which must not count as a center at
+    # the origin: the farthest point from the live centers 6.73 and 20.1
+    # is 0, not 10.2
+    pts = np.array([[0.0], [10.0], [10.2], [20.0], [20.2]])
+    init = np.array([[10.0], [10.0], [20.0]])
+    ws = WeightedSet(pts, np.full(5, 0.2))
+    res = lloyd(ws, Centers(init), SolverConfig(k=3, max_iters=1))
+    assert res.centers.centers[1, 0] == 0.0
+    assert res.weighted_risk == pytest.approx(4.5418, abs=1e-4)
+    centers, history, _, repairs = lloyd_reference(pts, ws.weights, init, 1, 1e-4)
+    assert repairs == 1
+    assert np.array_equal(res.centers.centers, centers)
+    assert res.history == history
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=0)
@@ -366,6 +382,22 @@ def test_lockstep_restarts_skip_the_repeated_iteration(monkeypatch):
     assert passes == ["full", "full"]
 
 
+def test_solve_runs_restarts_in_lockstep_below_the_lloyd_screen(monkeypatch):
+    # 2,000 points: no Lloyd screen, so the first kernel pass ranks the
+    # three restarts' seeds together
+    pts = _mixture(37, 2000, 4, 6)
+    groups = []
+    kernel = solver_module.assign_nearest
+
+    def counted_kernel(points, *args, _groups=None, **kwargs):
+        groups.append(_groups)
+        return kernel(points, *args, _groups=_groups, **kwargs)
+
+    monkeypatch.setattr(solver_module, "assign_nearest", counted_kernel)
+    solve(WeightedSet(pts, np.ones(len(pts))), SolverConfig(k=6, restarts=3, rel_tol=1e-4, seed=1))
+    assert groups[0] == 3
+
+
 def _below_exactly(value):
     """The largest double at most the exact rational `value`."""
     x = float(value)
@@ -465,10 +497,11 @@ def _restart_runs(pts, w, cfg):
     return runs
 
 
-@pytest.mark.parametrize("n", [_LOCKSTEP_MAX_POINTS - 1, _LOCKSTEP_MAX_POINTS])
+@pytest.mark.parametrize("n", [1023, 1024, _LLOYD_SCREEN_MIN - 1, _LLOYD_SCREEN_MIN])
 @pytest.mark.parametrize("case", list(_solve_cases(10)))
 def test_solve_equals_reference_bit_for_bit(case, n):
-    # below the switch the restarts run in lockstep, from it one by one
+    # below the Lloyd screen's switch several restarts run in lockstep,
+    # from it one by one
     pts, w, cfg = _solve_cases(n)[case]
     ws = WeightedSet(pts, w)
     res = solve(ws, cfg)
@@ -598,7 +631,7 @@ def test_kernel_and_solve_are_thread_safe():
     # inputs are below the size from which solve runs its restarts one by
     # one, so their restarts share grouped kernel calls.
     inputs = []
-    for i, n in enumerate([2 * _BLOCK_ROWS + 3] * 4 + [_LOCKSTEP_MAX_POINTS - 1] * 2):
+    for i, n in enumerate([2 * _BLOCK_ROWS + 3] * 4 + [_LLOYD_SCREEN_MIN - 1] * 2):
         pts = _mixture(40 + i, n, 5, 6)
         cs = _mixture(50 + i, 6, 5, 6)
         inputs.append((pts, cs, uniform_weighted(Dataset(pts))))
