@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BIG,
     _BLOCK_ROWS,
     _EPS,
     _TINY,
@@ -58,21 +57,21 @@ class SolveResult:
     history: tuple = ()
 
 
-# Points at or above which each D^2 step screens out, by the triangle
-# inequality, the points that the new center cannot bring closer. Below it
-# the screen's bookkeeping costs more than the full pass it saves (measured
-# on d = 10 mixtures: 10 centers break even near 3,000-4,000 points).
-_SCREEN_MIN_POINTS = 4096
-
 # Distance evaluations, points times draws after the first, from which a
-# smaller single seeding scores the points by one GEMV per step and
-# evaluates only those a new center may bring closer (`_dsquared_screened`).
-# The GEMV and the augmented copy of the points pay off only over enough
-# draws: on fixture-data prefixes (d = 10) the screen took 0.88x the plain
-# loop's time for 20 centers at 1,024 points and 0.70x at 2,500, while for
-# 10 centers it took 1.09-1.24x at 1,024 points, 0.96x at 2,048 and 0.94x
-# at 2,300, and for 5 centers 1.22-1.25x at 3,000-4,000.
+# single seeding of fewer than `_BLOCK_ROWS` points screens its points by
+# one GEMV score per step (`_dsquared_screened`); from `_BLOCK_ROWS`
+# points, where the plain loop's differences would span more than one
+# kernel block, every single seeding does. The GEMV and the float32 copy
+# of the points pay off only over enough draws: on fixture-data prefixes
+# (d = 10) the screen took, as a median ratio to the plain loop's time,
+# 0.91x for 20 centers at 1,024 points and 0.76x at 2,500, for 10 centers
+# 1.01x at 1,024, 0.96x at 1,500 and 0.92x at 2,048, and for 5 centers
+# 1.08x at 2,000 and 1.01x at 4,000.
 _SCORE_MIN_EVALS = 18_000
+
+# float32 machine epsilon and smallest normal number, for the D^2 score
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 def _dsquared(ws: WeightedSet, k: int, rngs, owners: bool):
@@ -93,22 +92,12 @@ def _dsquared(ws: WeightedSet, k: int, rngs, owners: bool):
     left duplicates its chosen centers and then repeats one of them, which
     changes neither its distances nor its owners.
 
-    One sequence with at least `_SCORE_MIN_EVALS` distance evaluations
-    takes screened steps instead (`_dsquared_screened`); below
-    `_SCREEN_MIN_POINTS` points they score every point by one GEMV. From
-    `_SCREEN_MIN_POINTS` points a step for a new center c evaluates only
-    the points that can get strictly closer to it. By the triangle
-    inequality, x with owner a gets no closer when
-    |c - a|^2 >= 4 |x - a|^2. The stored d2 and the gap |c - a|^2 are both
-    einsums of exactly rounded differences, so each is within a relative
-    (d + 2) * (eps / 2) of exact whatever the coordinates' offset. Skipping
-    only where |c - a|^2 / 4 exceeds d2 by a relative (d + 2) * eps thus
-    leaves the computed |x - c|^2 >= d2: the plain loop's `np.minimum`
-    would keep d2 and the owner. The screen asks four times that margin,
-    which also covers rounding the bound, and takes `tiny` off the bound
-    for absolute rounding in the subnormal range; an infinite d2 is never
-    skipped. Points that pass take the plain loop's difference and einsum,
-    so draws, distances and owners are the same bits either way.
+    One sequence of at least `_BLOCK_ROWS` points, or with at least
+    `_SCORE_MIN_EVALS` distance evaluations, takes screened steps instead
+    (`_dsquared_screened`): each evaluates only the points that a float32
+    score says the new center may bring closer, with the plain loop's
+    difference and einsum, so draws, distances and owners are the same
+    bits either way.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -116,7 +105,7 @@ def _dsquared(ws: WeightedSet, k: int, rngs, owners: bool):
     n, d = pts.shape
     groups = len(rngs)
     chosen = [[mass_pick(w, rng)] for rng in rngs]
-    if groups == 1 and (n >= _SCREEN_MIN_POINTS or n * (k - 1) >= _SCORE_MIN_EVALS):
+    if groups == 1 and (n >= _BLOCK_ROWS or n * (k - 1) >= _SCORE_MIN_EVALS):
         d2, owner = _dsquared_screened(pts, w, k, rngs[0], chosen[0])
         return chosen, d2[None], owner[None]
     # flat views, so no step pays for a reshape or a broadcast weight row
@@ -162,20 +151,31 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
 
     A step evaluates exactly only the points the new center c may bring
     strictly closer; the plain loop would leave every other point's d2 and
-    owner as they are. From `_SCREEN_MIN_POINTS` points the triangle
-    inequality picks them (see `_dsquared`). Below it one GEMV over the
-    points, each augmented with 1 and its squared norm, scores every x as
+    owner as they are. The first pass forms y = x - r for every point x,
+    r the first draw, and keeps the rows y, 1 and |y|^2 (1 - 2 s) as one
+    float32 (d + 2, n) array, s = 4 (d + 2) eps32. Centred on r, the score
+    is as sharp far from the origin as near it. The new center's column
+    holds u = c - r and |u|^2 (1 - 2 s), so one float32 GEMV with the
+    coefficients (-2 u, |u|^2 (1 - 2 s) - t, 1), t = 2 (d + 2) tiny32,
+    scores every point as
 
-        v = (|x|^2 + |c|^2) (1 - 2 s) - tiny - 2 x.c,  s = 4 (d + 2) eps,
+        v = |y - u|^2 - 2 s (|y|^2 + |u|^2) - t,
 
-    and skips the points with d2 <= v. Every term is a dot product or a
-    product of rounded values, so v is within (3 d / 2 + 4) eps
-    (|x|^2 + |c|^2) of its exact value, and the einsum of x - c within
-    (d + 2) eps (|x|^2 + |c|^2) of |x - c|^2. The margin
-    2 s (|x|^2 + |c|^2) exceeds both errors together, and tiny covers
-    absolute rounding in the subnormal range, so where d2 <= v the einsum
-    exceeds d2. Points whose squared norms reach 1e300, where the score
-    could overflow, take the triangle screen at any size.
+    and the step skips the points with d2 <= v. In units of
+    eps32 (|y|^2 + |u|^2), rounding y and u to float32 after their float64
+    differences moves 2 y.u by at most about 1; rounding the squared norms
+    and the coefficient, by 1; the (d + 2)-term float32 dot product, whose
+    terms sum to at most 2 (|y|^2 + |u|^2) + t, errs by d + 2; and the
+    float64 einsum of x - c by far less than 1, as |x - c|^2 = |y - u|^2.
+    In float32's subnormal range, or under a kernel that flushes it to
+    zero, a cast or product errs by up to tiny32 in absolute terms; times
+    a factor of size a, that is at most eps32 a^2 + tiny32 / 2^100. So the
+    casts of y and u add 2 units, and the products and the squared norms'
+    casts (d + 4) tiny32, which t covers. The units add up to less than
+    d + 7, and the margin 2 s is 8 (d + 2) of them, so where d2 <= v the
+    plain loop's einsum is at least d2. Where the centred squared norms reach
+    1e37, and the score could overflow float32, every step evaluates every
+    point.
     """
     n, d = pts.shape
     # the kernel's block: a difference buffer the size of the points would
@@ -184,28 +184,26 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
     diff = np.empty(min(n, rows) * d)
     mass = np.empty(n)
     owner = np.zeros(n, dtype=np.intp)
-    c = pts[chosen[0]]
+    r = pts[chosen[0]]
     d2 = np.empty(n)
+    keep = 1.0 - 8.0 * (d + 2) * _EPS32
+    tiny = 2.0 * (d + 2) * _TINY32
+    aug = np.empty((d + 2, n), dtype=np.float32)
+    aug[d] = 1.0
+    scored = True
     for lo in range(0, n, rows):
-        sub = diff[: min(rows, n - lo) * d].reshape(-1, d)
-        np.subtract(pts[lo : lo + rows], c, out=sub)
-        np.einsum("ij,ij->i", sub, sub, out=d2[lo : lo + rows])
+        hi = min(lo + rows, n)
+        sub = diff[: (hi - lo) * d].reshape(-1, d)
+        np.subtract(pts[lo:hi], r, out=sub)
+        np.einsum("ij,ij->i", sub, sub, out=d2[lo:hi])
+        scored = scored and d2[lo:hi].max() < 1e37
+        if scored:
+            aug[:d, lo:hi] = sub.T
+            np.multiply(d2[lo:hi], keep, out=aug[d + 1, lo:hi])
     np.multiply(w, d2, out=mass)
-    reach = np.empty(n)
-    near = np.empty(n, dtype=bool)
-    scored = False
-    if n < _SCREEN_MIN_POINTS:
-        keep = 1.0 - 8.0 * (d + 2) * _EPS
-        # rows x, 1 and |x|^2 (1 - 2 s), so that one GEMV with the
-        # coefficients (-2 c, |c|^2 (1 - 2 s) - tiny, 1) is the score
-        aug = np.empty((d + 2, n))
-        aug[:d] = pts.T
-        aug[d] = 1.0
-        np.einsum("ij,ij->i", pts, pts, out=aug[d + 1])
-        scored = aug[d + 1].max() < _BIG
-        aug[d + 1] *= keep
-        coef = np.ones(d + 2)
-    shrink = 1.0 / (1.0 + 4.0 * (d + 2) * _EPS)
+    coef = np.ones(d + 2, dtype=np.float32)
+    reach = np.empty(n, dtype=np.float32)
+    near = np.ones(n, dtype=bool)
     for j in range(1, k):
         idx = mass_pick(mass, rng)
         if idx is None:
@@ -214,20 +212,11 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
         chosen.append(idx)
         c = pts[idx]
         if scored:
-            np.multiply(c, -2.0, out=coef[:d])
-            coef[d] = float(c @ c) * keep - _TINY
+            # u = c - r and its squared norm are the copy's column idx
+            np.multiply(aug[:d, idx], -2.0, out=coef[:d])
+            coef[d] = aug[d + 1, idx] - tiny
             np.dot(coef, aug, out=reach)
             np.greater(d2, reach, out=near)
-        else:
-            # per earlier center a, the largest d2 that c cannot improve
-            # on: |c - a|^2 / 4, less the rounding margin
-            gap = pts[chosen[:j]] - c
-            bound = np.einsum("ij,ij->i", gap, gap)
-            bound *= 0.25
-            bound -= _TINY
-            bound *= shrink
-            np.take(bound, owner, out=reach, mode="clip")
-            np.less_equal(reach, d2, out=near)
         sel = near.nonzero()[0]
         for lo in range(0, sel.size, rows):
             part = sel[lo : lo + rows]
@@ -254,12 +243,12 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     mass, which happens when there are fewer than k distinct positive-weight
     points, the remaining slots duplicate already-chosen centers.
 
-    With at least 4096 points, each step screens out, by the triangle
-    inequality, the points a new center c cannot bring closer: those whose
-    squared distance to their nearest chosen center a is below
-    |c - a|^2 / 4 by more than a relative margin of 4 (d + 2) eps plus the
-    smallest normal float. Smaller seedings with at least 18,000 distance
-    evaluations (points times k - 1) screen them by a GEMV score instead.
+    With at least 4096 points, or at least 18,000 distance evaluations
+    (points times k - 1), each step scores every point by one float32 GEMV
+    over the points centred on the first draw: its squared distance to the
+    new center, less a margin of 8 (d + 2) float32 eps times the centred
+    squared norms and 2 (d + 2) times float32's smallest normal number.
+    Only the points whose D^2 distance exceeds the score are evaluated.
     Every point that can change takes the arithmetic of a loop allocating
     fresh arrays per center, so the draws are the same (`tests/oracles.py`).
     """
@@ -295,8 +284,8 @@ def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, 
 # after another, 0.77-0.87x at 1,024 points, 0.82-0.98x at 1,500 to 6,500
 # and 0.96x at 8,191 (5 restarts with rel_tol = 0 and 2 with 1e-4, on
 # fixture prefixes and on coresets of its 48k prefix). From the switch on,
-# one-by-one restarts get the screened Lloyd and the triangle-screened
-# D^2, whose per-point state serves one set of centers only.
+# one-by-one restarts get the screened Lloyd and the score-screened D^2,
+# whose per-point state serves one set of centers only.
 _LLOYD_SCREEN_MIN = 8192
 
 

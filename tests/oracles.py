@@ -203,3 +203,25 @@ def csv_writer_bytes(points, header=True):
     for row in points:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue().encode()
+
+
+def near_score_bound(n):
+    """n points of one D^2 step whose answer turns on float32 rounding.
+
+    Point 1, x, lies next to the midpoint of a (the other n - 2 points,
+    so almost surely the first draw) and point 0, c. Its float64 einsum
+    distance to c is below the one to a by a relative 4e-8, less than the
+    rounding of a float32 score of |x - c|^2 centred on a, which without
+    its margin rounds to above |x - a|^2 and would keep x with a once a and
+    then c are drawn.
+    """
+    a = [2.2322924378479447, 0.5316802214239764, 1.1642001953535577,
+         0.188686495364914, 2.1776425913273303, 0.2633036602784603,
+         1.1852751250739026, 2.6205678933621965, 1.4169010102500343]
+    c = [2.737865800922657, 2.297751353216617, 2.7459718803352975,
+         0.382209027146719, 0.2206887159918961, 0.2109787607076542,
+         2.606562883041958, 1.9022099380423296, 1.4897150813965592]
+    x = [2.485079121908085, 1.4147157961329, 1.9550860457373864,
+         0.2854477622214839, 1.1991656438945149, 0.23714121023195872,
+         1.8959190111500825, 2.261388912117694, 1.4533080461866352]
+    return np.array([c, x] + [a] * (n - 2))

@@ -17,9 +17,7 @@ from tramkit import (
     weighted_risk,
 )
 from tramkit.rng import derive_rng
-from tramkit.solver import _SCORE_MIN_EVALS, _SCREEN_MIN_POINTS
-
-from oracles import brute_force_kmeans, nearest_center_per_center
+from oracles import brute_force_kmeans, near_score_bound, nearest_center_per_center
 
 
 def test_bicriteria_single_point():
@@ -59,9 +57,11 @@ def _bicriteria_cases():
     few = np.repeat(np.array([[0.0, 1.0], [3.0, 3.0], [-2.0, 5.0]]), 1500, axis=0)
     # integer coordinates: many points equidistant from two centers
     lattice = np.indices((70, 70)).reshape(2, -1).T.astype(float)
+    unit = gen.normal(size=(5000, 3))
     # x, next to the midpoint of a and c, is closer to c by the einsums,
-    # although |c - a|^2 / 4 rounds to more than |x - a|^2: a screen
-    # without its margin would keep x with a once a and then c are drawn
+    # although |c - a|^2 / 4 rounds to more than |x - a|^2: a triangle
+    # screen without its margin would keep x with a once a and then c are
+    # drawn
     a = [0.6661037295833403, 2.316294035093577, 1.8916991661263431,
          1.3347469514350123, 1.5299734501953228, 2.948281103707867,
          0.9445886215634766, 1.0048647575909548, 2.3018484079483956]
@@ -71,28 +71,43 @@ def _bicriteria_cases():
     x = [1.9267239591264587, 1.6273145600008554, 1.4631797533670297,
          0.9768172663349678, 1.0889894472647956, 1.4408749099299134,
          0.5950760841697991, 0.6134750105883812, 2.1755154491613355]
-    near_midpoint = np.array([c, x] + [a] * (_SCREEN_MIN_POINTS - 2))
-    score_at = -(-_SCORE_MIN_EVALS // 11)
-    return {
+    near_midpoint = np.array([c, x] + [a] * 4094)
+    # from 4,096 points, and from 18,000 distance evaluations (points times
+    # the 11 draws after the first), each D^2 step screens points by a
+    # float32 score centred on the first draw
+    score_at = 1637
+    cases = {
         "mixture": (pts, 6),
-        "below_screen_size": (pts[: _SCREEN_MIN_POINTS - 1], 6),
-        "at_screen_size": (pts[:_SCREEN_MIN_POINTS], 6),
+        "below_screen_size": (pts[:4095], 6),
+        "at_screen_size": (pts[:4096], 6),
         "offset_1e8": (pts + 1e8, 6),
+        "scale_1e-20": (pts * 1e-20, 6),
+        # squared distances in float32's subnormal range
+        "scale_1e-23": (pts * 1e-23, 6),
         "scale_1e-160": (pts * 1e-160, 6),
         "duplicated_points": (np.repeat(pts[:500], 10, axis=0), 6),
         "fewer_distinct_points_than_2k": (few, 4),
         "integer_lattice_ties": (lattice, 6),
-        "integer_lattice_ties_below_screen_size": (lattice[: _SCREEN_MIN_POINTS - 1], 6),
+        "integer_lattice_ties_below_screen_size": (lattice[:4095], 6),
         "rounding_at_the_screen_bound": (near_midpoint, 1),
-        # from _SCORE_MIN_EVALS evaluations (points times the 11 draws after
-        # the first) and below _SCREEN_MIN_POINTS, points are screened by a
-        # GEMV score, unless their squared norms reach 1e300
+        "rounding_at_the_score_bound": (near_score_bound(4096), 1),
         "below_score_size": (pts[: score_at - 1], 6),
         "at_score_size": (pts[:score_at], 6),
         "scored_offset_1e8": (pts[:2000] + 1e8, 6),
+        "scored_scale_1e-20": (pts[:2000] * 1e-20, 6),
+        "scored_scale_1e-23": (pts[:2000] * 1e-23, 6),
         "scored_scale_1e-160": (pts[:2000] * 1e-160, 6),
+        # centred squared norms past float32's range: every point is
+        # evaluated at every step
+        "centred_norms_past_float32": (pts[:2000] * 1e19, 6),
         "norms_past_1e300": (pts[:2000] * 1e149, 6),
     }
+    # data far from the origin, at unit spread: the score is centred, so it
+    # still screens
+    for offset in (1e6, 1e7, 1e8):
+        for n in (2000, 5000):
+            cases[f"unit_spread_offset_{offset:.0e}_{n}"] = (unit[:n] + offset, 6)
+    return cases
 
 
 @pytest.mark.parametrize("case", list(_bicriteria_cases()))

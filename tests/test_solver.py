@@ -22,17 +22,13 @@ import tramkit.solver as solver_module
 from tramkit.core import _BLOCK_ROWS, assign_nearest
 from tramkit.data import SyntheticSpec, gen_synthetic
 from tramkit.rng import derive_rng
-from tramkit.solver import (
-    _LLOYD_SCREEN_MIN,
-    _SCORE_MIN_EVALS,
-    _SCREEN_MIN_POINTS,
-    _reassign,
-)
+from tramkit.solver import _LLOYD_SCREEN_MIN, _reassign
 
 from oracles import (
     brute_force_kmeans,
     dsquared_reference,
     lloyd_reference,
+    near_score_bound,
     nearest_center_per_center,
     solve_reference,
 )
@@ -521,8 +517,9 @@ def test_solve_equals_reference_bit_for_bit(case, n):
 
 
 def _seeding_cases():
-    # most cases are at or above the size from which each D^2 step screens
-    # points by the triangle inequality
+    # from 4,096 points, and from 18,000 distance evaluations (points times
+    # the draws after the first), each D^2 step screens points by a float32
+    # score centred on the first draw
     pts = _mixture(33, 5000, 4, 6)
     w = np.random.default_rng(34).uniform(size=5000)
     w[::3] = 0.0
@@ -531,33 +528,46 @@ def _seeding_cases():
     # integer coordinates: exact distances, many points equidistant from
     # two chosen centers
     lattice = np.indices((70, 70)).reshape(2, -1).T.astype(float)
-    below, at = _SCREEN_MIN_POINTS - 1, _SCREEN_MIN_POINTS
-    score_at = -(-_SCORE_MIN_EVALS // 11)
-    return {
+    unit = np.random.default_rng(36).normal(size=(5000, 4))
+    below, at = 4095, 4096
+    score_at = 1637  # 11 draws after the first
+    cases = {
         "mixture": (pts, np.full(5000, 1.0 / 5000), 12),
         "zero_weights": (pts, w, 12),
         "fewer_distinct_points_than_k": (few, np.ones(len(few)), 7),
         "fortran_ordered": (np.asfortranarray(pts), w, 12),
         "offset_1e6": (pts + 1e6, w, 12),
         "offset_1e8": (pts + 1e8, w, 12),
+        "scale_1e-20": (pts * 1e-20, w, 12),
+        # squared distances in float32's subnormal range
+        "scale_1e-23": (pts * 1e-23, w, 12),
         "scale_1e-160": (pts * 1e-160, w, 12),
         "duplicated_points": (np.repeat(pts[:500], 10, axis=0), w, 12),
         "fewer_distinct_points_than_k_screened": (many_few, np.ones(len(many_few)), 7),
         "integer_lattice_ties": (lattice, np.ones(len(lattice)), 12),
         "one_below_screen_size": (pts[:below], w[:below], 12),
         "at_screen_size": (pts[:at], w[:at], 12),
-        # from _SCORE_MIN_EVALS evaluations (points times the draws after
-        # the first) and below _SCREEN_MIN_POINTS, points are screened by a
-        # GEMV score, unless their squared norms reach 1e300
         "one_below_score_size": (pts[: score_at - 1], w[: score_at - 1], 12),
         "at_score_size": (pts[:score_at], w[:score_at], 12),
         "scored_offset_1e8": (pts[:2000] + 1e8, w[:2000], 12),
+        "scored_scale_1e-20": (pts[:2000] * 1e-20, w[:2000], 12),
+        "scored_scale_1e-23": (pts[:2000] * 1e-23, w[:2000], 12),
         "scored_scale_1e-160": (pts[:2000] * 1e-160, w[:2000], 12),
         "scored_duplicated_points": (np.repeat(pts[:200], 10, axis=0), w[:2000], 12),
         "scored_integer_lattice_ties": (lattice[:2000], np.ones(2000), 12),
         "scored_fewer_distinct_points_than_k": (many_few[:3500], np.ones(3500), 7),
+        # centred squared norms past float32's range: every point is
+        # evaluated at every step
+        "centred_norms_past_float32": (pts[:2000] * 1e19, w[:2000], 12),
         "norms_past_1e300": (pts[:2000] * 1e149, w[:2000], 12),
+        "rounding_at_the_score_bound": (near_score_bound(4096), np.ones(4096), 3),
     }
+    # data far from the origin, at unit spread: the score is centred, so it
+    # still screens
+    for offset in (1e6, 1e7, 1e8):
+        for n in (2000, 5000):
+            cases[f"unit_spread_offset_{offset:.0e}_{n}"] = (unit[:n] + offset, w[:n], 12)
+    return cases
 
 
 @pytest.mark.parametrize("case", list(_seeding_cases()))
