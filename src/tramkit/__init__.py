@@ -27,7 +27,6 @@ from .core import (
     Dataset,
     WeightedSet,
     empirical_risk,
-    squared_dist,
     uniform_weighted,
     weighted_risk,
 )
@@ -46,7 +45,6 @@ from .tradeoff import (
     Lambda,
     LambdaRecord,
     SweepGrid,
-    oracle_times,
     pareto_data_time,
     pareto_risk_time,
     run_sweep,
@@ -81,7 +79,6 @@ __all__ = [
     "gen_synthetic",
     "lloyd",
     "load_csv",
-    "oracle_times",
     "pareto_data_time",
     "pareto_risk_time",
     "run_sweep",
@@ -91,7 +88,6 @@ __all__ = [
     "sensitivities",
     "solve",
     "split_validation",
-    "squared_dist",
     "stopping_test",
     "subsampler_optimum",
     "uniform_weighted",

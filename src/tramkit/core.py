@@ -18,7 +18,6 @@ __all__ = [
     "Dataset",
     "Centers",
     "WeightedSet",
-    "squared_dist",
     "empirical_risk",
     "weighted_risk",
     "min_sq_dists",
@@ -350,12 +349,6 @@ def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=
     """
     labels, d2 = _nearest(points, centers, _norms, _lb, _groups or 1)
     return (labels, d2) if _groups else (labels[0], d2[0])
-
-
-def squared_dist(x, c: Centers) -> float:
-    """min over centers of the squared Euclidean distance to x."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return float(min_sq_dists(x.reshape(1, -1), c.centers)[0])
 
 
 def empirical_risk(data: Dataset, c: Centers) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "run_sweep",
     "pareto_data_time",
     "pareto_risk_time",
-    "oracle_times",
 ]
 
 PROCEDURES = ("uniform", "coreset")
@@ -204,13 +203,3 @@ def pareto_risk_time(lam: Lambda, n: int) -> list[tuple[float, float]]:
         out.append((eps, min(feas)))
     return out
 
-
-def oracle_times(
-    lam_u: Lambda, lam_c: Lambda, eps_total: float
-) -> list[tuple[int, float | None, float | None]]:
-    """Aligned (n, uniform-oracle time, coreset-oracle time) frontiers."""
-    if lam_u.n_grid() != lam_c.n_grid():
-        raise ValueError("the two sweeps use different n grids")
-    front_u = dict(pareto_data_time(lam_u, eps_total))
-    front_c = dict(pareto_data_time(lam_c, eps_total))
-    return [(n, front_u.get(n), front_c.get(n)) for n in lam_u.n_grid()]

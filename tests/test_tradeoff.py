@@ -11,7 +11,6 @@ from tramkit import (
     SolverConfig,
     SweepGrid,
     empirical_risk,
-    oracle_times,
     pareto_data_time,
     pareto_risk_time,
     run_sweep,
@@ -100,20 +99,6 @@ def test_pareto_risk_time_monotone_on_random_lambdas():
         assert all(b <= a for a, b in zip(times, times[1:]))
         eps = [e for e, _ in front]
         assert eps == sorted(eps)
-
-
-def test_oracle_times_requires_same_grid():
-    lam_a = Lambda((rec(10, 1.0, 1.0),))
-    lam_b = Lambda((rec(20, 1.0, 1.0),))
-    with pytest.raises(ValueError):
-        oracle_times(lam_a, lam_b, 1.0)
-
-
-def test_oracle_times_aligned():
-    lam_u = Lambda((rec(10, 5.0, 1.0), rec(20, 3.0, 1.0)))
-    lam_c = Lambda((rec(10, 9.0, 3.0, proc="coreset"), rec(20, 2.0, 1.0, proc="coreset")))
-    rows = oracle_times(lam_u, lam_c, 2.0)
-    assert rows == [(10, 5.0, None), (20, 3.0, 2.0)]
 
 
 def two_cluster_line(n, seed, rare_share=0.05):
