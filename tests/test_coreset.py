@@ -17,6 +17,7 @@ from tramkit import (
     weighted_risk,
 )
 from tramkit.rng import derive_rng
+
 from oracles import brute_force_kmeans, near_score_bound, nearest_center_per_center
 
 
@@ -60,8 +61,7 @@ def _bicriteria_cases():
     unit = gen.normal(size=(5000, 3))
     # x, next to the midpoint of a and c, is closer to c by the einsums,
     # although |c - a|^2 / 4 rounds to more than |x - a|^2: a triangle
-    # screen without its margin would keep x with a once a and then c are
-    # drawn
+    # inequality bound needs its rounding margin here
     a = [0.6661037295833403, 2.316294035093577, 1.8916991661263431,
          1.3347469514350123, 1.5299734501953228, 2.948281103707867,
          0.9445886215634766, 1.0048647575909548, 2.3018484079483956]
