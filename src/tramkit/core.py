@@ -331,8 +331,11 @@ def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.
 
     The distance is computed from explicit differences to the nearest
     center, which a GEMM ranking with an exact fallback for near ties
-    selects (see `_nearest`); coinciding points give exactly 0. `_norms`
-    is the library's own channel for the points' precomputed row norms.
+    selects (see `_nearest`); coinciding points give exactly 0. A 1-D
+    `points` array is one point, and a 1-D `centers` array one center,
+    unlike `Dataset` and `Centers`, which read a 1-D array as n points in
+    R^1. `_norms` is the library's own channel for the points'
+    precomputed row norms.
     """
     return _nearest(points, centers, _norms)[1][0]
 
@@ -341,7 +344,9 @@ def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=
     """Nearest-center labels and squared distances.
 
     Ties break toward the lowest center index (argmin convention); the
-    distances are the same values `min_sq_dists` returns. `_norms` is the
+    distances are the same values `min_sq_dists` returns. As there, a 1-D
+    `points` array is one point and a 1-D `centers` array one center, not
+    n points in R^1 as `Dataset` and `Centers` read it. `_norms` is the
     library's own channel for the points' precomputed row norms, `_lb` for
     an array it fills with each point's lower bound on its distance to the
     other centers, and `_groups=G` for G stacked sets of centers ranked in

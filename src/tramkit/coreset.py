@@ -84,12 +84,12 @@ def bicriteria_init(data: Dataset, p: CoresetParams, rng) -> Bicriteria:
     centers would. Linear in n for fixed k, d.
     """
     ws = uniform_weighted(data)
-    chosen, point_costs, labels = _dsquared(ws, BICRITERIA_FACTOR * p.k, [rng], owners=True)
+    chosen, point_costs, labels = _dsquared(ws, BICRITERIA_FACTOR * p.k, rng, owners=True)
     return Bicriteria(
-        centers=_wrap(Centers, data.points[chosen[0]]),
-        assignment=labels[0],
-        total_cost=float(point_costs[0].sum()),
-        point_costs=point_costs[0],
+        centers=_wrap(Centers, data.points[chosen]),
+        assignment=labels,
+        total_cost=float(point_costs.sum()),
+        point_costs=point_costs,
     )
 
 

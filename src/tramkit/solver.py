@@ -58,15 +58,15 @@ class SolveResult:
 
 
 # Distance evaluations, points times draws after the first, from which a
-# single seeding of fewer than `_BLOCK_ROWS` points screens its points by
-# one GEMV score per step (`_dsquared_screened`); from `_BLOCK_ROWS`
-# points, where the plain loop's differences would span more than one
-# kernel block, every single seeding does. The GEMV and the float32 copy
-# of the points pay off only over enough draws: on fixture-data prefixes
-# (d = 10) the screen took, as a median ratio to the plain loop's time,
-# 0.91x for 20 centers at 1,024 points and 0.76x at 2,500, for 10 centers
-# 1.01x at 1,024, 0.96x at 1,500 and 0.92x at 2,048, and for 5 centers
-# 1.08x at 2,000 and 1.01x at 4,000.
+# seeding of fewer than `_BLOCK_ROWS` points screens its points by one
+# GEMV score per step (`_dsquared_screened`); from `_BLOCK_ROWS` points,
+# where the plain loop's differences would span more than one kernel
+# block, every seeding does. The GEMV and the float32 copy of the points
+# pay off only over enough draws: on fixture-data prefixes (d = 10) the
+# screen took, as a median ratio to the plain loop's time, 0.91x for 20
+# centers at 1,024 points and 0.76x at 2,500, for 10 centers 1.01x at
+# 1,024, 0.96x at 1,500 and 0.92x at 2,048, and for 5 centers 1.08x at
+# 2,000 and 1.01x at 4,000.
 _SCORE_MIN_EVALS = 18_000
 
 # float32 machine epsilon and smallest normal number, for the D^2 score
@@ -74,26 +74,20 @@ _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
 
 
-def _dsquared(ws: WeightedSet, k: int, rngs, owners: bool):
-    """Weighted D^2 seeding, one draw sequence per generator in `rngs`:
+def _dsquared(ws: WeightedSet, k: int, rng: np.random.Generator, owners: bool):
+    """Weighted D^2 seeding, one draw sequence from `rng`:
     `(chosen, d2, owner)`.
 
-    `chosen[g]` holds the k indices into `ws.points` drawn from `rngs[g]`;
-    row g of the (len(rngs), n) `d2` each point's squared distance to its
-    nearest center of `chosen[g]`, summed as the per-center oracle sums it;
-    row g of `owner` that center's position in `chosen[g]`, the first to
-    attain the distance (argmin order), or None when `owners` is false and
-    the plain loop ran.
+    `chosen` holds the k indices into `ws.points` drawn; `d2` each point's
+    squared distance to its nearest chosen center, summed as the
+    per-center oracle sums it; `owner` that center's position in `chosen`,
+    the first to attain the distance (argmin order), or None when `owners`
+    is false and the plain loop ran. Once no point carries D^2 mass, the
+    sequence duplicates its chosen centers, which changes neither the
+    distances nor the owners.
 
-    The plain loop runs every sequence in lockstep: per step, one `mass_pick`
-    on each sequence's own row of masses and its own generator, then one
-    difference, einsum and `np.minimum` over all rows. So each sequence
-    draws what it would alone. A sequence whose points carry no D^2 mass
-    left duplicates its chosen centers and then repeats one of them, which
-    changes neither its distances nor its owners.
-
-    One sequence of at least `_BLOCK_ROWS` points, or with at least
-    `_SCORE_MIN_EVALS` distance evaluations, takes screened steps instead
+    A seeding of at least `_BLOCK_ROWS` points, or with at least
+    `_SCORE_MIN_EVALS` distance evaluations, takes screened steps
     (`_dsquared_screened`): each evaluates only the points that a float32
     score says the new center may bring closer, with the plain loop's
     difference and einsum, so draws, distances and owners are the same
@@ -103,45 +97,30 @@ def _dsquared(ws: WeightedSet, k: int, rngs, owners: bool):
         raise ValueError("k must be >= 1")
     pts, w = ws.points, ws.weights
     n, d = pts.shape
-    groups = len(rngs)
-    chosen = [[mass_pick(w, rng)] for rng in rngs]
-    if groups == 1 and (n >= _BLOCK_ROWS or n * (k - 1) >= _SCORE_MIN_EVALS):
-        d2, owner = _dsquared_screened(pts, w, k, rngs[0], chosen[0])
-        return chosen, d2[None], owner[None]
-    # flat views, so no step pays for a reshape or a broadcast weight row
-    full = np.empty((groups, n, d))
-    flat = full.reshape(groups * n, d)
-    wts = np.concatenate([w] * groups)
-    mass = np.empty(groups * n)
-    dist = np.empty(groups * n)
-    d2 = np.empty(groups * n)
-    owner = np.zeros(groups * n, dtype=np.intp) if owners else None
-    c = pts[[ch[0] for ch in chosen]]
-    np.subtract(pts, c[:, None], out=full)
-    np.einsum("ij,ij->i", flat, flat, out=d2)
-    live = list(range(groups))
+    chosen = [mass_pick(w, rng)]
+    if n >= _BLOCK_ROWS or n * (k - 1) >= _SCORE_MIN_EVALS:
+        d2, owner = _dsquared_screened(pts, w, k, rng, chosen)
+        return chosen, d2, owner
+    diff = np.empty((n, d))
+    mass = np.empty(n)
+    dist = np.empty(n)
+    d2 = np.empty(n)
+    owner = np.zeros(n, dtype=np.intp) if owners else None
+    np.subtract(pts, pts[chosen[0]], out=diff)
+    np.einsum("ij,ij->i", diff, diff, out=d2)
     for j in range(1, k):
-        np.multiply(wts, d2, out=mass)
-        for g in live.copy():
-            idx = mass_pick(mass[g * n : g * n + n], rngs[g])
-            if idx is None:
-                # no point carries positive D^2 mass: duplicate chosen
-                # centers; c[g] keeps one of them
-                chosen[g].extend(chosen[g][i % j] for i in range(k - j))
-                live.remove(g)
-            else:
-                chosen[g].append(idx)
-                c[g] = pts[idx]
-        if not live:
+        np.multiply(w, d2, out=mass)
+        idx = mass_pick(mass, rng)
+        if idx is None:
+            # no point carries positive D^2 mass: duplicate chosen centers
+            chosen.extend(chosen[i % j] for i in range(k - j))
             break
-        np.subtract(pts, c[:, None], out=full)
-        np.einsum("ij,ij->i", flat, flat, out=dist)
+        chosen.append(idx)
+        np.subtract(pts, pts[idx], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=dist)
         if owners:
             np.copyto(owner, j, where=dist < d2)
         np.minimum(d2, dist, out=d2)
-    d2 = d2.reshape(groups, n)
-    if owners:
-        owner = owner.reshape(groups, n)
     return chosen, d2, owner
 
 
@@ -252,7 +231,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     Every point that can change takes the arithmetic of a loop allocating
     fresh arrays per center, so the draws are the same (`tests/oracles.py`).
     """
-    chosen = _dsquared(ws, k, [rng], owners=False)[0][0]
+    chosen = _dsquared(ws, k, rng, owners=False)[0]
     return _wrap(Centers, ws.points[chosen])
 
 
@@ -278,14 +257,15 @@ def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, 
 # loop's time at 8,192 points with rel_tol = 0 and 0.96x with
 # rel_tol = 1e-4 (fewer late iterations repay the early ones), 0.91x and
 # 1.00x at 6,000, and 0.99x and 1.09x at 4,096; so small summaries keep
-# the plain loop. There several restarts run in lockstep, since a grouped
-# kernel pass, centroid update or D^2 step pays its per-call overhead once
-# for all of them: lockstep solves took, as a median ratio to one restart
-# after another, 0.77-0.87x at 1,024 points, 0.82-0.98x at 1,500 to 6,500
-# and 0.96x at 8,191 (5 restarts with rel_tol = 0 and 2 with 1e-4, on
-# fixture prefixes and on coresets of its 48k prefix). From the switch on,
-# one-by-one restarts get the screened Lloyd and the score-screened D^2,
-# whose per-point state serves one set of centers only.
+# the plain loop. There the Lloyd iterations of several restarts run in
+# lockstep, since a grouped kernel pass or centroid update pays its
+# per-call overhead once for all of them: lockstep solves took, as a
+# median ratio to one restart after another, 0.77-0.87x at 1,024 points,
+# 0.82-0.98x at 1,500 to 6,500 and 0.96x at 8,191 (5 restarts with
+# rel_tol = 0 and 2 with 1e-4, on fixture prefixes and on coresets of its
+# 48k prefix, measured when the lockstep also shared the D^2 steps). From
+# the switch on, one-by-one restarts get the screened Lloyd, whose
+# per-point bounds serve one set of centers only.
 _LLOYD_SCREEN_MIN = 8192
 
 
@@ -482,19 +462,19 @@ def solve(ws: WeightedSet, cfg: SolverConfig) -> SolveResult:
     """Best of cfg.restarts independent (seed_dsquared -> lloyd) pipelines.
 
     Restart r draws its seeding from the substream (cfg.seed, "restart", r);
-    ties in risk keep the earliest restart. Below `_LLOYD_SCREEN_MIN`
-    summary points several restarts run in lockstep, sharing each D^2 step,
-    kernel pass and centroid update; from it they run one after another,
-    each with the screened Lloyd. Either way each restart computes the same
-    bits, so the result does not depend on the switch.
+    ties in risk keep the earliest restart. Every restart is seeded by its
+    own `seed_dsquared` call. Below `_LLOYD_SCREEN_MIN` summary points
+    several restarts then run their Lloyd iterations in lockstep, sharing
+    each kernel pass and centroid update; from it they run one after
+    another, each with the screened Lloyd. Either way each restart computes
+    the same bits, so the result does not depend on the switch.
     """
-    rngs = [derive_rng(cfg.seed, "restart", r) for r in range(cfg.restarts)]
+    rngs = (derive_rng(cfg.seed, "restart", r) for r in range(cfg.restarts))
+    seeds = [seed_dsquared(ws, cfg.k, rng) for rng in rngs]
     if cfg.restarts > 1 and ws.size < _LLOYD_SCREEN_MIN:
-        chosen = _dsquared(ws, cfg.k, rngs, owners=False)[0]
-        centers = np.take(ws.points, np.concatenate(chosen), axis=0)
-        results = _lloyd(ws, centers, cfg.restarts, cfg)
+        results = _lloyd(ws, np.concatenate([c.centers for c in seeds]), cfg.restarts, cfg)
     else:
-        # the public steps, whose calls and iterations stay countable
-        results = [lloyd(ws, seed_dsquared(ws, cfg.k, rng), cfg) for rng in rngs]
+        # the public step, whose calls and iterations stay countable
+        results = [lloyd(ws, c, cfg) for c in seeds]
     # min keeps the first of equal minima: the earliest restart
     return min(results, key=lambda res: res.weighted_risk)

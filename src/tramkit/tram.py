@@ -95,6 +95,13 @@ class TramIteration:
 
 @dataclass(frozen=True)
 class TramTrace:
+    """One navigation's rounds and result.
+
+    `total_time` covers the rounds only. It leaves out `run_tram`'s
+    start-up: the `bound_radius()` scan (when B is unset) and the pilot
+    solve (when m0 or s0 is).
+    """
+
     rows: tuple[TramIteration, ...]
     final_centers: Centers
     final_validation_risk: float
@@ -174,7 +181,13 @@ def run_tram(
     if train.d != validation_pool.d:
         raise ValueError("train and validation dimensions differ")
     if p.B is None:
-        p = replace(p, B=train.bound_radius())
+        radius = train.bound_radius()
+        if radius <= 0:
+            raise ValueError(
+                "the support radius derived from the training data is 0; "
+                "pass TramParams.B"
+            )
+        p = replace(p, B=radius)
     if p.m0 is None or p.s0 is None:
         m0, s0 = default_start_sizes(train, p, solver)
         p = replace(p, m0=p.m0 or m0, s0=p.s0 or s0)

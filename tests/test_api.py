@@ -59,3 +59,37 @@ def test_only_the_data_layer_imports_csv():
         or isinstance(node, ast.ImportFrom) and node.module == "csv"
     }
     assert importers <= {"data", "tradeoff"}
+
+
+def _private_names(stmt):
+    """The private names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_orphan_private_helpers():
+    # every private module-level function, class and constant is read by
+    # some statement other than its own definition, so a deletion cannot
+    # leave behind a helper that nothing calls
+    defined, readers = [], {}
+    for module, tree in _module_trees():
+        for i, stmt in enumerate(tree.body):
+            defined += [(module, i, name) for name in _private_names(stmt)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add((module, i))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((module, i))
+    orphans = [
+        f"{module}.{name}"
+        for module, i, name in defined
+        if not readers.get(name, set()) - {(module, i)}
+    ]
+    assert defined
+    assert orphans == []

@@ -516,6 +516,36 @@ def test_solve_equals_reference_bit_for_bit(case, n):
         assert all(repairs)
 
 
+@pytest.mark.parametrize("n", [2000, _LLOYD_SCREEN_MIN - 1, _LLOYD_SCREEN_MIN])
+def test_solve_seeds_every_restart_through_seed_dsquared(monkeypatch, n):
+    # one public seeding per restart on both sides of the Lloyd switch, so
+    # a tracer that wraps seed_dsquared sees every one. At 2,000 points and
+    # k = 10 each seeding is score-screened (18,000 distance evaluations)
+    ws = uniform_weighted(Dataset(_mixture(70, n, 5, 10)))
+    cfg = SolverConfig(k=10, restarts=3, max_iters=20, rel_tol=0.0, seed=9)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return seed_dsquared(*args)
+
+    monkeypatch.setattr(solver_module, "seed_dsquared", counting)
+    res = solve(ws, cfg)
+    assert len(calls) == cfg.restarts
+    # below the switch Lloyd runs the restarts in lockstep: the best of
+    # them equals the best of the restarts run alone, bit for bit
+    runs = [
+        lloyd(ws, seed_dsquared(ws, cfg.k, derive_rng(cfg.seed, "restart", r)), cfg)
+        for r in range(cfg.restarts)
+    ]
+    best = min(runs, key=lambda run: run.weighted_risk)
+    assert len({run.history for run in runs}) == cfg.restarts
+    assert np.array_equal(res.centers.centers, best.centers.centers)
+    assert res.weighted_risk == best.weighted_risk
+    assert res.iterations == best.iterations
+    assert res.history == best.history
+
+
 def _seeding_cases():
     # from 4,096 points, and from 18,000 distance evaluations (points times
     # the draws after the first), each D^2 step screens points by a float32

@@ -158,6 +158,19 @@ def test_m0_larger_than_n_rejected():
         run_tram(train, pool, p, SolverConfig(k=3))
 
 
+def test_zero_derived_radius_asks_for_B():
+    # every training point at the origin: the radius derived from the data
+    # is 0, which is the data's doing, not a B the caller set
+    train = Dataset(np.zeros((40, 2)))
+    pool = blob_data(200, 11, 2)
+    p = TramParams(eps_total=1.0, delta=0.1, k=2, seed=3)
+    with pytest.raises(ValueError, match=r"derived from the training data is 0; pass TramParams\.B"):
+        run_tram(train, pool, p, SolverConfig(k=2))
+    # an explicit B runs
+    trace = run_tram(train, pool, TramParams(eps_total=1.0, delta=0.1, k=2, B=1.0, seed=3), SolverConfig(k=2))
+    assert trace.J >= 1
+
+
 def test_pilot_start_sizes_scale_with_eps():
     train = blob_data(2000, 13, 1)
     solver = SolverConfig(k=3, seed=13)
