@@ -112,7 +112,6 @@ def _dsquared(ws: WeightedSet, k: int, rng: np.random.Generator, owners: bool):
         np.multiply(w, d2, out=mass)
         idx = mass_pick(mass, rng)
         if idx is None:
-            # no point carries positive D^2 mass: duplicate chosen centers
             chosen.extend(chosen[i % j] for i in range(k - j))
             break
         chosen.append(idx)
@@ -259,11 +258,11 @@ def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, 
 # 1.00x at 6,000, and 0.99x and 1.09x at 4,096; so small summaries keep
 # the plain loop. There the Lloyd iterations of several restarts run in
 # lockstep, since a grouped kernel pass or centroid update pays its
-# per-call overhead once for all of them: lockstep solves took, as a
-# median ratio to one restart after another, 0.77-0.87x at 1,024 points,
-# 0.82-0.98x at 1,500 to 6,500 and 0.96x at 8,191 (5 restarts with
-# rel_tol = 0 and 2 with 1e-4, on fixture prefixes and on coresets of its
-# 48k prefix, measured when the lockstep also shared the D^2 steps). From
+# per-call overhead once for all of them: from the same seeds, lockstep
+# Lloyd took, as a median ratio to one restart after another, 0.69-0.93x
+# at 1,024 points, 0.85-0.91x at 2,000, 0.91-0.99x at 4,000 and
+# 0.93-1.06x at 6,500 and 8,191 (5 restarts with rel_tol = 0 and 2 with
+# 1e-4, on fixture prefixes and on coresets of its 48k prefix). From
 # the switch on, one-by-one restarts get the screened Lloyd, whose
 # per-point bounds serve one set of centers only.
 _LLOYD_SCREEN_MIN = 8192

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,8 +168,7 @@ def test_zero_derived_radius_asks_for_B():
     with pytest.raises(ValueError, match=r"derived from the training data is 0; pass TramParams\.B"):
         run_tram(train, pool, p, SolverConfig(k=2))
     # an explicit B runs
-    trace = run_tram(train, pool, TramParams(eps_total=1.0, delta=0.1, k=2, B=1.0, seed=3), SolverConfig(k=2))
-    assert trace.J >= 1
+    assert run_tram(train, pool, replace(p, B=1.0), SolverConfig(k=2)).J >= 1
 
 
 def test_pilot_start_sizes_scale_with_eps():
