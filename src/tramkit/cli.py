@@ -227,6 +227,17 @@ def cmd_analytic(args, outputs: list[str]) -> None:
     outputs.append(args.out)
 
 
+def _add_input_flags(sub) -> None:
+    sub.add_argument("--input", required=True, help="dataset CSV")
+    sub.add_argument(
+        "--header",
+        choices=list(_HAS_HEADER),
+        default="auto",
+        help="whether the input CSV has a header row (default auto: the first "
+        "row is a header when one of its fields is not a number)",
+    )
+
+
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--k", type=int, required=True, help="number of centers to fit")
     sub.add_argument("--restarts", type=int, default=2)
@@ -256,13 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sweep = subs.add_parser("sweep", help="measure a (n, s) grid into a Lambda CSV")
-    sweep.add_argument("--input", required=True, help="dataset CSV")
-    sweep.add_argument(
-        "--header",
-        choices=["auto", "yes", "no"],
-        default="auto",
-        help="whether the input CSV has a header row (default: sniff)",
-    )
+    _add_input_flags(sweep)
     sweep.add_argument("--procedure", choices=PROCEDURES, required=True)
     sweep.add_argument("--n-values", type=_int_list, required=True)
     sweep.add_argument("--s-values", type=_int_list, required=True)
@@ -289,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.set_defaults(func=cmd_pareto)
 
     tram = subs.add_parser("tram", help="run the tradeoff navigation loop")
-    tram.add_argument("--input", required=True, help="dataset CSV")
-    tram.add_argument("--header", choices=["auto", "yes", "no"], default="auto")
+    _add_input_flags(tram)
     tram.add_argument("--eps", type=float, required=True, help="target risk")
     tram.add_argument("--delta", type=float, default=0.1)
     tram.add_argument("--val-fraction", type=float, default=0.2)

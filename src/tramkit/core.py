@@ -228,6 +228,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None, group
     centers = np.asarray(centers, dtype=np.float64)
     if points.ndim != 2 or centers.ndim != 2:
         points, centers = np.atleast_2d(points, centers)
+    if centers.shape[0] == 0:
+        raise ValueError("centers must be a non-empty (k, d) array")
     if points.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {points.shape[1]} != {centers.shape[1]}")
     if lb is not None and groups != 1:

@@ -58,15 +58,15 @@ class SolveResult:
 
 
 # Distance evaluations, points times draws after the first, from which a
-# seeding of fewer than `_BLOCK_ROWS` points screens its points by one
-# GEMV score per step (`_dsquared_screened`); from `_BLOCK_ROWS` points,
-# where the plain loop's differences would span more than one kernel
-# block, every seeding does. The GEMV and the float32 copy of the points
-# pay off only over enough draws: on fixture-data prefixes (d = 10) the
-# screen took, as a median ratio to the plain loop's time, 0.91x for 20
-# centers at 1,024 points and 0.76x at 2,500, for 10 centers 1.01x at
-# 1,024, 0.96x at 1,500 and 0.92x at 2,048, and for 5 centers 1.08x at
-# 2,000 and 1.01x at 4,000.
+# seeding of fewer than `_BLOCK_ROWS` points takes `_dsquared`'s scored
+# steps, which screen its points by one GEMV score per step; from
+# `_BLOCK_ROWS` points, where the plain step's differences would span more
+# than one kernel block, every seeding does. The GEMV and the float32 copy
+# of the points pay off only over enough draws: on fixture-data prefixes
+# (d = 10) the screen took, as a median ratio to the plain steps' time,
+# 0.91x for 20 centers at 1,024 points and 0.76x at 2,500, for 10 centers
+# 1.01x at 1,024, 0.96x at 1,500 and 0.92x at 2,048, and for 5 centers
+# 1.08x at 2,000 and 1.01x at 4,000.
 _SCORE_MIN_EVALS = 18_000
 
 # float32 machine epsilon and smallest normal number, for the D^2 score
@@ -82,58 +82,24 @@ def _dsquared(ws: WeightedSet, k: int, rng: np.random.Generator, owners: bool):
     squared distance to its nearest chosen center, summed as the
     per-center oracle sums it; `owner` that center's position in `chosen`,
     the first to attain the distance (argmin order), or None when `owners`
-    is false and the plain loop ran. Once no point carries D^2 mass, the
-    sequence duplicates its chosen centers, which changes neither the
-    distances nor the owners.
+    is false. Once no point carries D^2 mass, the sequence duplicates its
+    chosen centers, which changes neither the distances nor the owners.
 
-    A seeding of at least `_BLOCK_ROWS` points, or with at least
-    `_SCORE_MIN_EVALS` distance evaluations, takes screened steps
-    (`_dsquared_screened`): each evaluates only the points that a float32
-    score says the new center may bring closer, with the plain loop's
-    difference and einsum, so draws, distances and owners are the same
-    bits either way.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts, w = ws.points, ws.weights
-    n, d = pts.shape
-    chosen = [mass_pick(w, rng)]
-    if n >= _BLOCK_ROWS or n * (k - 1) >= _SCORE_MIN_EVALS:
-        d2, owner = _dsquared_screened(pts, w, k, rng, chosen)
-        return chosen, d2, owner
-    diff = np.empty((n, d))
-    mass = np.empty(n)
-    dist = np.empty(n)
-    d2 = np.empty(n)
-    owner = np.zeros(n, dtype=np.intp) if owners else None
-    np.subtract(pts, pts[chosen[0]], out=diff)
-    np.einsum("ij,ij->i", diff, diff, out=d2)
-    for j in range(1, k):
-        np.multiply(w, d2, out=mass)
-        idx = mass_pick(mass, rng)
-        if idx is None:
-            chosen.extend(chosen[i % j] for i in range(k - j))
-            break
-        chosen.append(idx)
-        np.subtract(pts, pts[idx], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=dist)
-        if owners:
-            np.copyto(owner, j, where=dist < d2)
-        np.minimum(d2, dist, out=d2)
-    return chosen, d2, owner
+    A plain step evaluates every point: the difference from the new center
+    and its einsum, over the whole array. A seeding of at least
+    `_BLOCK_ROWS` points, or with at least `_SCORE_MIN_EVALS` distance
+    evaluations, takes scored steps instead: each evaluates only the points
+    that a float32 score says the new center may bring closer, with the
+    plain step's difference and einsum, so draws, distances and owners are
+    the same bits either way.
 
-
-def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
-    """The screened steps of `_dsquared` for one sequence whose first draw
-    is `chosen[0]`: appends the other draws, returns `(d2, owner)`.
-
-    A step evaluates exactly only the points the new center c may bring
-    strictly closer; the plain loop would leave every other point's d2 and
-    owner as they are. The first pass forms y = x - r for every point x,
-    r the first draw, and keeps the rows y, 1 and |y|^2 (1 - 2 s) as one
-    float32 (d + 2, n) array, s = 4 (d + 2) eps32. Centred on r, the score
-    is as sharp far from the origin as near it. The new center's column
-    holds u = c - r and |u|^2 (1 - 2 s), so one float32 GEMV with the
+    A scored step evaluates exactly only the points the new center c may
+    bring strictly closer; the plain step would leave every other point's
+    d2 and owner as they are. The first pass forms y = x - r for every
+    point x, r the first draw, and keeps the rows y, 1 and |y|^2 (1 - 2 s)
+    as one float32 (d + 2, n) array, s = 4 (d + 2) eps32. Centred on r, the
+    score is as sharp far from the origin as near it. The new center's
+    column holds u = c - r and |u|^2 (1 - 2 s), so one float32 GEMV with the
     coefficients (-2 u, |u|^2 (1 - 2 s) - t, 1), t = 2 (d + 2) tiny32,
     scores every point as
 
@@ -151,27 +117,33 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
     casts of y and u add 2 units, and the products and the squared norms'
     casts (d + 4) tiny32, which t covers. The units add up to less than
     d + 7, and the margin 2 s is 8 (d + 2) of them, so where d2 <= v the
-    plain loop's einsum is at least d2. Where the centred squared norms reach
-    1e37, and the score could overflow float32, every step evaluates every
-    point.
+    plain step's einsum is at least d2. Where the centred squared norms
+    reach 1e37, and the score could overflow float32, every step is the
+    plain step instead; from `_BLOCK_ROWS` points that fallback allocates
+    one (n, d) difference buffer.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pts, w = ws.points, ws.weights
     n, d = pts.shape
+    chosen = [mass_pick(w, rng)]
+    scored = n >= _BLOCK_ROWS or n * (k - 1) >= _SCORE_MIN_EVALS
     # the kernel's block: a difference buffer the size of the points would
     # add megabytes to the peak memory and evict the cache
     rows = _BLOCK_ROWS
-    diff = np.empty(min(n, rows) * d)
-    mass = np.empty(n)
-    owner = np.zeros(n, dtype=np.intp)
-    r = pts[chosen[0]]
+    diff = np.empty((min(n, rows), d))
     d2 = np.empty(n)
-    keep = 1.0 - 8.0 * (d + 2) * _EPS32
-    tiny = 2.0 * (d + 2) * _TINY32
-    aug = np.empty((d + 2, n), dtype=np.float32)
-    aug[d] = 1.0
-    scored = True
+    mass = np.empty(n)
+    owner = np.zeros(n, dtype=np.intp) if owners else None
+    r = pts[chosen[0]]
+    if scored:
+        keep = 1.0 - 8.0 * (d + 2) * _EPS32
+        tiny = 2.0 * (d + 2) * _TINY32
+        aug = np.empty((d + 2, n), dtype=np.float32)
+        aug[d] = 1.0
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        sub = diff[: (hi - lo) * d].reshape(-1, d)
+        sub = diff[: hi - lo]
         np.subtract(pts[lo:hi], r, out=sub)
         np.einsum("ij,ij->i", sub, sub, out=d2[lo:hi])
         scored = scored and d2[lo:hi].max() < 1e37
@@ -179,9 +151,14 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
             aug[:d, lo:hi] = sub.T
             np.multiply(d2[lo:hi], keep, out=aug[d + 1, lo:hi])
     np.multiply(w, d2, out=mass)
-    coef = np.ones(d + 2, dtype=np.float32)
-    reach = np.empty(n, dtype=np.float32)
-    near = np.ones(n, dtype=bool)
+    if scored:
+        coef = np.ones(d + 2, dtype=np.float32)
+        reach = np.empty(n, dtype=np.float32)
+        near = np.empty(n, dtype=bool)
+    else:
+        # past one block only under the float32 guard
+        full = diff if n <= rows else np.empty((n, d))
+        dist = np.empty(n)
     for j in range(1, k):
         idx = mass_pick(mass, rng)
         if idx is None:
@@ -195,21 +172,29 @@ def _dsquared_screened(pts, w, k: int, rng: np.random.Generator, chosen: list):
             coef[d] = aug[d + 1, idx] - tiny
             np.dot(coef, aug, out=reach)
             np.greater(d2, reach, out=near)
-        sel = near.nonzero()[0]
-        for lo in range(0, sel.size, rows):
-            part = sel[lo : lo + rows]
-            sub = diff[: part.size * d].reshape(part.size, d)
-            # mode="clip" writes straight into out (the indices are in range)
-            np.take(pts, part, axis=0, out=sub, mode="clip")
-            np.subtract(sub, c, out=sub)
-            dist = np.einsum("ij,ij->i", sub, sub)
-            closer = dist < d2.take(part)
-            hit = part[closer]
-            dist = dist[closer]
-            d2.put(hit, dist)
-            owner.put(hit, j)
-            mass.put(hit, w.take(hit) * dist)
-    return d2, owner
+            sel = near.nonzero()[0]
+            for lo in range(0, sel.size, rows):
+                part = sel[lo : lo + rows]
+                sub = diff[: part.size]
+                # mode="clip" writes straight into out (the indices are in range)
+                np.take(pts, part, axis=0, out=sub, mode="clip")
+                np.subtract(sub, c, out=sub)
+                got = np.einsum("ij,ij->i", sub, sub)
+                closer = got < d2.take(part)
+                hit = part[closer]
+                got = got[closer]
+                d2.put(hit, got)
+                if owners:
+                    owner.put(hit, j)
+                mass.put(hit, w.take(hit) * got)
+        else:
+            np.subtract(pts, c, out=full)
+            np.einsum("ij,ij->i", full, full, out=dist)
+            if owners:
+                np.copyto(owner, j, where=dist < d2)
+            np.minimum(d2, dist, out=d2)
+            np.multiply(w, d2, out=mass)
+    return chosen, d2, owner
 
 
 def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:

@@ -119,6 +119,41 @@ def test_tram_releases_the_parsed_points_before_navigating(tmp_path, monkeypatch
     assert alive == [False]
 
 
+def test_tram_help_states_the_header_rule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tram", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "header when one of its fields is not a number" in out
+
+
+def test_tram_header_yes_drops_a_numeric_first_row(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    res = write_blobs(data, n=400)
+    real_run_tram = cli.run_tram
+    parsed = []
+
+    def run_tram(train, validation, *args, **kwargs):
+        parsed.append(np.vstack([train.points, validation.points]))
+        return real_run_tram(train, validation, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_tram", run_tram)
+    rc = main(
+        [
+            "tram",
+            "--input", str(data),
+            "--header", "yes",
+            "--eps", "0.55",
+            "--k", "3",
+            "--seed", "4",
+            "--trace-out", str(tmp_path / "trace.csv"),
+        ]
+    )
+    assert rc == 0
+    assert parsed[0].shape == (399, 2)
+    assert np.array_equal(np.unique(parsed[0], axis=0), np.unique(res.data.points[1:], axis=0))
+
+
 def test_gen_missing_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--out", str(tmp_path / "x.csv")])

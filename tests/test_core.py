@@ -279,3 +279,10 @@ def test_kernel_result_does_not_depend_on_memory_layout():
     want_labels, want_d2 = nearest_center_per_center(pts, cs)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(d2, want_d2)
+
+
+@pytest.mark.parametrize("kernel", [assign_nearest, min_sq_dists])
+def test_kernel_rejects_empty_centers(kernel):
+    pts = np.random.default_rng(26).normal(size=(5, 3))
+    with pytest.raises(ValueError, match="non-empty"):
+        kernel(pts, np.empty((0, 3)))

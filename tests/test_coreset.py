@@ -101,6 +101,8 @@ def _bicriteria_cases():
         # evaluated at every step
         "centred_norms_past_float32": (pts[:2000] * 1e19, 6),
         "norms_past_1e300": (pts[:2000] * 1e149, 6),
+        # the guard trips past the first block: one (n, d) difference buffer
+        "centred_norms_past_float32_after_one_block": (np.vstack([pts[:4096], pts[4096:] * 1e19]), 6),
     }
     # data far from the origin, at unit spread: the score is centred, so it
     # still screens

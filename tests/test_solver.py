@@ -590,6 +590,8 @@ def _seeding_cases():
         # evaluated at every step
         "centred_norms_past_float32": (pts[:2000] * 1e19, w[:2000], 12),
         "norms_past_1e300": (pts[:2000] * 1e149, w[:2000], 12),
+        # the guard trips past the first block: one (n, d) difference buffer
+        "centred_norms_past_float32_after_one_block": (np.vstack([pts[:at], pts[at:] * 1e19]), w, 12),
         "rounding_at_the_score_bound": (near_score_bound(4096), np.ones(4096), 3),
     }
     # data far from the origin, at unit spread: the score is centred, so it
