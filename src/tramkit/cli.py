@@ -234,7 +234,7 @@ def _add_input_flags(sub) -> None:
         choices=list(_HAS_HEADER),
         default="auto",
         help="whether the input CSV has a header row (default auto: the first "
-        "row is a header when one of its fields is not a number)",
+        "row is a header when one of its non-blank fields is not a number)",
     )
 
 

@@ -124,7 +124,7 @@ def test_tram_help_states_the_header_rule(capsys):
         main(["tram", "--help"])
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
-    assert "header when one of its fields is not a number" in out
+    assert "header when one of its non-blank fields is not a number" in out
 
 
 def test_tram_header_yes_drops_a_numeric_first_row(tmp_path, monkeypatch):
