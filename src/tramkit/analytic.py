@@ -100,8 +100,8 @@ class ProcOptimum:
     backed_off: bool = False
 
 
-def _min_truncation(p: AnalyticParams, risk_budget: float) -> float:
-    # smallest real m with eps_est(m) <= risk_budget - eps_model
+def _min_truncation(p: AnalyticParams, risk_budget):
+    # smallest real m with eps_est(m) <= risk_budget - eps_model, elementwise
     return (_est_coeff(p) / (risk_budget - eps_model(p))) ** 2
 
 
@@ -127,9 +127,8 @@ def _coreset_pure_eval(s: np.ndarray, n: int, p: AnalyticParams):
     budget = p.eps_total / (1.0 + 2.0 * eta_simple(s, p))
     ok = budget > eps_model(p)
     m = np.full(s.shape, np.nan)
-    coeff = _est_coeff(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m[ok] = np.ceil((coeff / (budget[ok] - eps_model(p))) ** 2)
+        m[ok] = np.ceil(_min_truncation(p, budget[ok]))
     ok &= (m <= n) & (s < m)
     t = np.where(
         ok, s.astype(float) ** p.beta + p.alpha_init * m + p.alpha_samp * s, np.nan
@@ -197,11 +196,13 @@ class CurvePoint:
     regime: str  # data-bounded | intermediate | data-laden
 
 
-def _regime(core: ProcOptimum, core_unbounded: ProcOptimum) -> str:
+def _regime(core: ProcOptimum, q: AnalyticParams, unbounded: dict) -> str:
     if not core.feasible:
         return "data-bounded"
-    assert core_unbounded.feasible and core_unbounded.t is not None
-    if core.t <= core_unbounded.t * (1.0 + 1e-9):
+    if q not in unbounded:  # once per parameter set, for feasible points only
+        unbounded[q] = coreset_optimum(_UNBOUNDED_N, q)
+    assert unbounded[q].feasible and unbounded[q].t is not None
+    if core.t <= unbounded[q].t * (1.0 + 1e-9):
         return "data-laden"
     return "intermediate"
 
@@ -219,34 +220,19 @@ def analytic_curves(
     xs = list(xs)
     if not xs:
         raise ValueError("range must be non-empty")
-    points = []
-    if mode == "data_time":
-        unbounded = coreset_optimum(_UNBOUNDED_N, p)
-        for n in xs:
-            core = coreset_optimum(int(n), p)
-            points.append(
-                CurvePoint(
-                    x=float(n),
-                    subsampler=subsampler_optimum(int(n), p),
-                    coreset=core,
-                    regime=_regime(core, unbounded),
-                )
+    points, unbounded = [], {}
+    for x in xs:
+        if mode == "data_time":
+            q, n = p, int(x)
+        else:
+            q, n = replace(p, eps_total=float(x)), fixed_n
+        core = coreset_optimum(n, q)
+        points.append(
+            CurvePoint(
+                x=float(x),
+                subsampler=subsampler_optimum(n, q),
+                coreset=core,
+                regime=_regime(core, q, unbounded),
             )
-    else:
-        for eps in xs:
-            p_eps = replace(p, eps_total=float(eps))
-            core = coreset_optimum(fixed_n, p_eps)
-            regime = (
-                "data-bounded"
-                if not core.feasible
-                else _regime(core, coreset_optimum(_UNBOUNDED_N, p_eps))
-            )
-            points.append(
-                CurvePoint(
-                    x=float(eps),
-                    subsampler=subsampler_optimum(fixed_n, p_eps),
-                    coreset=core,
-                    regime=regime,
-                )
-            )
+        )
     return points

@@ -2,8 +2,9 @@
 
 Subcommands: gen, sweep, pareto, tram, analytic. Every command emits
 plot-ready CSV (header always present), writes a JSON run manifest next to
-its primary output (even on failure), and is deterministic given its full
-flag set including --seed. Exit codes: 0 success, 1 runtime error, 2 usage
+its primary output (even on a runtime error; a usage error exits inside
+argparse before any is written), and is deterministic given its full flag
+set including --seed. Exit codes: 0 success, 1 runtime error, 2 usage
 error.
 """
 
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,13 +79,21 @@ def _range_spec(text: str):
 _HAS_HEADER = {"auto": None, "yes": True, "no": False}
 
 
-def _manifest_path(primary_out: str) -> Path:
-    out = Path(primary_out)
-    return out.with_name(out.stem + ".manifest.json")
+def _sibling(path: str, suffix: str) -> str:
+    """The file next to `path` named by its stem plus `suffix`."""
+    out = Path(path)
+    return str(out.with_name(out.stem + suffix))
 
 
-def _write_manifest(path: Path, record: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _config(cls, args, **given):
+    """A `cls` config from `given`, every other field from the parsed flag
+    of the same name (a field without a flag raises AttributeError)."""
+    flagged = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**flagged, **given)
+
+
+def _write_manifest(path: str, record: dict) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -93,44 +103,18 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        k=args.k,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-
-
 def cmd_gen(args, outputs: list[str]) -> None:
-    spec = SyntheticSpec(
-        n=args.n,
-        d=args.d,
-        k_true=args.k_true,
-        box=(args.box_low, args.box_high),
-        sigma2=args.sigma2,
-        dirichlet_alpha=args.dirichlet_alpha,
-        seed=args.seed,
-    )
-    result = gen_synthetic(spec)
+    result = gen_synthetic(_config(SyntheticSpec, args, box=(args.box_low, args.box_high)))
     save_csv(result.data, args.out)
     outputs.append(args.out)
-    meta = args.meta_out or str(Path(args.out).with_name(Path(args.out).stem + "_meta.csv"))
+    meta = args.meta_out or _sibling(args.out, "_meta.csv")
     save_mixture_meta(result, meta)
     outputs.append(meta)
 
 
 def cmd_sweep(args, outputs: list[str]) -> None:
     data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
-    grid = SweepGrid(
-        n_values=tuple(args.n_values),
-        s_values=tuple(args.s_values),
-        procedure=args.procedure,
-        solver=_solver_config(args),
-        repeats=args.repeats,
-        seed=args.seed,
-    )
+    grid = _config(SweepGrid, args, solver=_config(SolverConfig, args))
     lam = run_sweep(data, grid, jobs=args.jobs)
     lam.to_csv(args.out)
     outputs.append(args.out)
@@ -161,24 +145,11 @@ def cmd_tram(args, outputs: list[str]) -> None:
         args.val_fraction,
         seed=args.seed,
     )
-    params = TramParams(
-        eps_total=args.eps,
-        delta=args.delta,
-        k=args.k,
-        B=args.ball_radius,
-        beta=args.beta,
-        m0=args.m0,
-        s0=args.s0,
-        gamma_m=args.gamma_m,
-        gamma_s=args.gamma_s,
-        seed=args.seed,
-    )
-    trace = run_tram(train, validation, params, _solver_config(args))
+    params = _config(TramParams, args, eps_total=args.eps, B=args.ball_radius)
+    trace = run_tram(train, validation, params, _config(SolverConfig, args))
     trace.to_csv(args.trace_out)
     outputs.append(args.trace_out)
-    centers_out = args.centers_out or str(
-        Path(args.trace_out).with_name(Path(args.trace_out).stem + "_centers.csv")
-    )
+    centers_out = args.centers_out or _sibling(args.trace_out, "_centers.csv")
     save_csv(Dataset(trace.final_centers.centers), centers_out)
     outputs.append(centers_out)
     if trace.exhausted:
@@ -192,18 +163,7 @@ def cmd_tram(args, outputs: list[str]) -> None:
 
 
 def cmd_analytic(args, outputs: list[str]) -> None:
-    params = AnalyticParams(
-        d=args.d,
-        k=args.k,
-        sigma_bar=args.sigma_bar,
-        alpha_init=args.alpha_init,
-        alpha_samp=args.alpha_samp,
-        beta=args.beta,
-        A=args.A,
-        B=args.B,
-        eps_total=args.eps,
-        use_sigma=not args.no_sigma,
-    )
+    params = _config(AnalyticParams, args, eps_total=args.eps, use_sigma=not args.no_sigma)
     mode = args.mode.replace("-", "_")
     if args.range is not None:
         xs = args.range
@@ -378,7 +338,7 @@ def main(argv=None) -> int:
             "error": error,
         }
     )
-    _write_manifest(_manifest_path(_primary_out(args)), manifest)
+    _write_manifest(_sibling(_primary_out(args), ".manifest.json"), manifest)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -1,13 +1,20 @@
+import argparse
 import csv
+import inspect
 import json
 import weakref
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from tramkit import cli
+from tramkit.analytic import AnalyticParams, analytic_curves
 from tramkit.cli import main
 from tramkit.data import gen_synthetic, SyntheticSpec, load_csv, save_csv
+from tramkit.solver import SolverConfig
+from tramkit.tradeoff import SweepGrid
+from tramkit.tram import TramParams
 
 from oracles import csv_writer_bytes
 
@@ -15,6 +22,10 @@ from oracles import csv_writer_bytes
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def no_manifest_written(root):
+    return not any(root.rglob("*.manifest.json"))
 
 
 def write_blobs(path, n=300, seed=0):
@@ -158,6 +169,7 @@ def test_gen_missing_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    assert no_manifest_written(tmp_path)
 
 
 def test_sweep_shape_and_determinism(tmp_path):
@@ -266,8 +278,10 @@ def test_pareto_modes_mutually_exclusive(tmp_path):
     lam = tmp_path / "lam.csv"
     lam.write_text("x\n")
     with pytest.raises(SystemExit) as exc:
-        main(["pareto", "--lambda", str(lam), "--eps", "1", "--n", "5", "--out", "f.csv"])
+        main(["pareto", "--lambda", str(lam), "--eps", "1", "--n", "5",
+              "--out", str(tmp_path / "f.csv")])
     assert exc.value.code == 2
+    assert no_manifest_written(tmp_path)
 
 
 def test_tram_easy_target_single_row(tmp_path):
@@ -336,6 +350,7 @@ def test_tram_delta_bounds_are_usage_errors(tmp_path):
                 ]
             )
         assert exc.value.code == 2
+    assert no_manifest_written(tmp_path)
 
 
 def test_tram_runtime_error_writes_manifest(tmp_path):
@@ -408,8 +423,10 @@ def test_analytic_no_sigma_literal_program(tmp_path):
 
 def test_analytic_bad_range_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(["analytic", "--mode", "data-time", "--range", "10:5:3", "--out", "x.csv"])
+        main(["analytic", "--mode", "data-time", "--range", "10:5:3", "--out",
+              str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    assert no_manifest_written(tmp_path)
 
 
 @pytest.mark.parametrize("flag", ["--n-values", "--s-values"])
@@ -430,6 +447,7 @@ def test_sweep_empty_value_list_is_usage_error(tmp_path, capsys, flag):
         )
     assert exc.value.code == 2
     assert f"argument {flag}: expected at least one integer" in capsys.readouterr().err
+    assert no_manifest_written(tmp_path)
 
 
 def test_analytic_empty_range_list_is_usage_error(tmp_path, capsys):
@@ -438,9 +456,142 @@ def test_analytic_empty_range_list_is_usage_error(tmp_path, capsys):
               str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert "argument --range: expected at least one number" in capsys.readouterr().err
+    assert no_manifest_written(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--procedure", "uniform", "--n-values", "50,x", "--s-values", "10",
+          "--k", "2"], "argument --n-values: expected comma-separated integers: '50,x'"),
+        (["sweep", "--procedure", "uniform", "--n-values", "50", "--s-values", "1.5",
+          "--k", "2"], "argument --s-values: expected comma-separated integers: '1.5'"),
+        (["analytic", "--mode", "data-time", "--range", "10:x:3"],
+         "argument --range: expected lo:hi:count: '10:x:3'"),
+        (["analytic", "--mode", "data-time", "--range", "10:100"],
+         "argument --range: expected lo:hi:count: '10:100'"),
+        (["analytic", "--mode", "risk-time", "--range", "100,abc"],
+         "argument --range: expected numbers: '100,abc'"),
+        (["tram", "--eps", "1", "--k", "2", "--val-fraction", "0"],
+         "--val-fraction must lie in (0, 1)"),
+        (["tram", "--eps", "1", "--k", "2", "--val-fraction", "1"],
+         "--val-fraction must lie in (0, 1)"),
+    ],
+    ids=["int-list-token", "int-list-float", "range-token", "range-two-parts",
+         "number-list-token", "val-fraction-0", "val-fraction-1"],
+)
+def test_bad_flag_value_is_usage_error_without_manifest(tmp_path, capsys, argv, message):
+    data = tmp_path / "data.csv"
+    write_blobs(data, n=100)
+    out = str(tmp_path / "out.csv")
+    if argv[0] == "analytic":
+        argv = argv + ["--out", out]
+    else:
+        argv = argv[:1] + ["--input", str(data)] + argv[1:]
+        argv += ["--trace-out" if argv[0] == "tram" else "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert no_manifest_written(tmp_path)
+
+
+def test_pareto_n_writes_the_risk_time_frontier(tmp_path):
+    lam = tmp_path / "lam.csv"
+    with open(lam, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["procedure", "n", "s", "repeats", "mean_time_s", "median_time_s",
+             "mean_risk", "std_risk", "seed"]
+        )
+        writer.writerow(["uniform", 10, 1, 1, 5.0, 5.0, 4.0, 0.0, 0])
+        writer.writerow(["uniform", 20, 1, 1, 3.0, 3.0, 2.0, 0.0, 0])
+        writer.writerow(["uniform", 20, 2, 1, 1.0, 1.0, 9.0, 0.0, 0])
+        writer.writerow(["coreset", 40, 1, 1, 0.5, 0.5, 1.0, 0.0, 0])
+    out = tmp_path / "front.csv"
+    rc = main(["pareto", "--lambda", str(lam), "--n", "20", "--out", str(out)])
+    assert rc == 0
+    # records with n <= 20 only, so the coreset procedure has no frontier
+    assert out.read_bytes() == (
+        b"n_or_eps,time_s,source\r\n"
+        b"2.0,3.0,uniform\r\n4.0,3.0,uniform\r\n9.0,1.0,uniform\r\n"
+    )
+    manifest = json.loads((tmp_path / "front.manifest.json").read_text())
+    assert manifest["parameters"]["n"] == 20 and manifest["parameters"]["eps"] is None
+
+
+@pytest.mark.parametrize(
+    "mode, text, xs",
+    [
+        ("data-time", "150.5,100,100", [100, 151]),
+        ("risk-time", "500,250.5,", [500.0, 250.5]),
+    ],
+    ids=["data-time", "risk-time"],
+)
+def test_analytic_comma_range_is_the_list_of_x(tmp_path, mode, text, xs):
+    out = tmp_path / "curve.csv"
+    assert main(["analytic", "--mode", mode, "--range", text, "--out", str(out)]) == 0
+    want = analytic_curves(AnalyticParams(), mode.replace("-", "_"), xs)
+    rows = read_rows(out)
+    assert [float(r["x"]) for r in rows] == [pt.x for pt in want] == [float(x) for x in xs]
+    assert [r["t_core"] for r in rows] == [
+        "" if pt.coreset.t is None else repr(pt.coreset.t) for pt in want
+    ]
+    assert [r["regime"] for r in rows] == [pt.regime for pt in want]
+    manifest = json.loads((tmp_path / "curve.manifest.json").read_text())
+    assert manifest["parameters"]["range"] == [float(v) for v in text.split(",") if v]
+
+
+# minimal command lines: only the required flags
+_MINIMAL_ARGV = {
+    "gen": ["gen", "--n", "10", "--out", "x.csv"],
+    "sweep": ["sweep", "--input", "x.csv", "--procedure", "uniform", "--n-values", "1",
+              "--s-values", "1", "--k", "1", "--out", "y.csv"],
+    "tram": ["tram", "--input", "x.csv", "--eps", "1", "--k", "1", "--trace-out", "y.csv"],
+    "analytic": ["analytic", "--mode", "data-time", "--out", "y.csv"],
+}
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    flags = {cmd: vars(parser.parse_args(argv)) for cmd, argv in _MINIMAL_ARGV.items()}
+    # the fields the commands fill from flags of another name
+    flags["gen"]["box"] = (flags["gen"]["box_low"], flags["gen"]["box_high"])
+    flags["tram"].update(eps_total=flags["tram"]["eps"], B=flags["tram"]["ball_radius"])
+    flags["analytic"].update(
+        eps_total=flags["analytic"]["eps"], use_sigma=not flags["analytic"]["no_sigma"]
+    )
+    differ, checked = set(), 0
+    for cmd, cls in [("gen", SyntheticSpec), ("sweep", SweepGrid), ("sweep", SolverConfig),
+                     ("tram", TramParams), ("tram", SolverConfig), ("analytic", AnalyticParams)]:
+        for f in fields(cls):
+            if f.default is not MISSING:
+                checked += 1
+                if flags[cmd][f.name] != f.default:
+                    differ.add((cmd, cls.__name__, f.name))
+    assert checked == 33
+    # stated on purpose by the CLI: two restarts against the library's one,
+    # and a delta that TramParams leaves to its caller
+    assert differ == {("sweep", "SolverConfig", "restarts"), ("tram", "SolverConfig", "restarts")}
+    assert flags["sweep"]["restarts"] == flags["tram"]["restarts"] == 2
+    assert next(f for f in fields(TramParams) if f.name == "delta").default is MISSING
+    assert flags["tram"]["delta"] == 0.1
+    fixed_n = inspect.signature(analytic_curves).parameters["fixed_n"].default
+    assert flags["analytic"]["n"] == fixed_n
 
 
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_config_fills_every_other_field_from_its_flag():
+    args = argparse.Namespace(k=3, max_iters=7, rel_tol=0.5, restarts=2, seed=9, jobs=4)
+    assert cli._config(SolverConfig, args, seed=1) == SolverConfig(
+        k=3, max_iters=7, rel_tol=0.5, restarts=2, seed=1
+    )
+    # a field with no flag of its name is an error, not its default
+    del args.max_iters
+    with pytest.raises(AttributeError, match="max_iters"):
+        cli._config(SolverConfig, args)

@@ -75,6 +75,16 @@ def test_weight_validation():
         WeightedSet([[0.0], [1.0]], [1.0, -0.1])
     with pytest.raises(ValueError):
         WeightedSet([[0.0], [1.0]], [1.0])
+    with pytest.raises(ValueError, match="weights contain non-finite values"):
+        WeightedSet([[0.0], [1.0]], [1.0, np.inf])
+
+
+def test_dataset_reads_a_1d_array_as_points_in_r1():
+    # n points in R^1, where min_sq_dists reads a 1-D array as one point
+    data = Dataset([0.0, 1.0, 4.0])
+    assert data.points.shape == (3, 1) and (data.n, data.d) == (3, 1)
+    assert empirical_risk(data, Centers([[1.0]])) == pytest.approx(10.0 / 3.0, rel=1e-15)
+    assert min_sq_dists(np.array([0.0, 1.0, 4.0]), np.zeros((1, 3))).shape == (1,)
 
 
 def test_weighted_set_requires_weights():

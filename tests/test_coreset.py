@@ -304,6 +304,16 @@ def test_eta_bound_examples():
         eta_bound(5 * 4, m)
 
 
+@pytest.mark.parametrize(
+    "k, size, message",
+    [(0, 10, "k must be >= 1"), (2, 0, "size must be >= 1")],
+    ids=["k", "size"],
+)
+def test_coreset_params_validation(k, size, message):
+    with pytest.raises(ValueError, match=message):
+        CoresetParams(k=k, size=size)
+
+
 def test_eta_model_validation():
     with pytest.raises(ValueError):
         EtaModel(A=0.0, d=1, k=1)

@@ -293,3 +293,5 @@ def test_spec_validation():
         SyntheticSpec(n=1, dirichlet_alpha=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(n=1, box=(4.0, 4.0))
+    with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+        SyntheticSpec(n=1, sigma2=-0.5)

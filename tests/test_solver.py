@@ -248,6 +248,8 @@ def test_solver_config_validation():
         SolverConfig(k=1, restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(k=1, rel_tol=-1.0)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        SolverConfig(k=1, max_iters=0)
 
 
 def _mixture(seed, n, d, k_true, spread=3.0):

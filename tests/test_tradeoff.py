@@ -231,3 +231,11 @@ def test_grid_validation():
         SweepGrid(n_values=(10,), s_values=(5, 2), procedure="uniform", solver=cfg)
     with pytest.raises(ValueError):
         SweepGrid(n_values=(10,), s_values=(2,), procedure="median", solver=cfg)
+    with pytest.raises(ValueError, match="n_values must be non-empty and strictly ascending"):
+        SweepGrid(n_values=(20, 10), s_values=(1,), procedure="uniform", solver=cfg)
+    with pytest.raises(ValueError, match="s_values must be non-empty and strictly ascending"):
+        SweepGrid(n_values=(10,), s_values=(), procedure="uniform", solver=cfg)
+    with pytest.raises(ValueError, match="s_values must be positive"):
+        SweepGrid(n_values=(10,), s_values=(0, 2), procedure="uniform", solver=cfg)
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        SweepGrid(n_values=(10,), s_values=(2,), procedure="uniform", solver=cfg, repeats=0)

@@ -50,6 +50,37 @@ def test_delta_precondition():
     TramParams(eps_total=1.0, delta=0.19, k=1, B=1.0)  # boundary inside
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"eps_total": 0.0}, "eps_total must be positive"),
+        ({"beta": 1.0}, "beta must exceed 1"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"B": 0.0}, "B must be positive"),
+        ({"gamma_m": 1.0}, "growth factors must exceed 1"),
+        ({"gamma_s": 1.0}, "growth factors must exceed 1"),
+        ({"m0": 0}, "m0 must be >= 1"),
+        ({"s0": 0}, "s0 must be >= 1"),
+    ],
+    ids=["eps_total", "beta", "k", "B", "gamma_m", "gamma_s", "m0", "s0"],
+)
+def test_params_range_checks(change, message):
+    with pytest.raises(ValueError, match=message):
+        TramParams(**{"eps_total": 1.0, "delta": 0.1, "k": 1, "B": 1.0, **change})
+
+
+def test_unset_support_radius_has_no_b():
+    with pytest.raises(ValueError, match="support radius B is unset"):
+        TramParams(eps_total=1.0, delta=0.1, k=1).b
+
+
+def test_train_and_validation_dimensions_must_match():
+    train, pool = blob_data(50, 11, 1), blob_data(50, 11, 2, d=3)
+    p = TramParams(eps_total=1.0, delta=0.1, k=2, B=10.0)
+    with pytest.raises(ValueError, match="train and validation dimensions differ"):
+        run_tram(train, pool, p, SolverConfig(k=2))
+
+
 def test_stopping_threshold_boundary():
     p = TramParams(eps_total=2.0, delta=0.1, k=1, B=1.0)
     assert stopping_test(3.0, p)  # exactly 1.5 * eps
