@@ -481,13 +481,12 @@ def test_analytic_empty_range_list_is_usage_error(tmp_path, capsys):
          "number-list-token", "val-fraction-0", "val-fraction-1"],
 )
 def test_bad_flag_value_is_usage_error_without_manifest(tmp_path, capsys, argv, message):
-    data = tmp_path / "data.csv"
-    write_blobs(data, n=100)
+    # the usage error comes before the input is read, so it need not exist
     out = str(tmp_path / "out.csv")
     if argv[0] == "analytic":
         argv = argv + ["--out", out]
     else:
-        argv = argv[:1] + ["--input", str(data)] + argv[1:]
+        argv = argv[:1] + ["--input", str(tmp_path / "data.csv")] + argv[1:]
         argv += ["--trace-out" if argv[0] == "tram" else "--out", out]
     with pytest.raises(SystemExit) as exc:
         main(argv)
