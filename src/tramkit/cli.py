@@ -31,6 +31,7 @@ from .data import (
     load_csv,
     save_csv,
     save_mixture_meta,
+    save_twin,
     split_validation,
 )
 from .solver import SolverConfig
@@ -107,14 +108,16 @@ def cmd_gen(args, outputs: list[str]) -> None:
     result = gen_synthetic(_config(SyntheticSpec, args, box=(args.box_low, args.box_high)))
     save_csv(result.data, args.out)
     outputs.append(args.out)
+    outputs.append(save_twin(result.data, args.out))
     meta = args.meta_out or _sibling(args.out, "_meta.csv")
     save_mixture_meta(result, meta)
     outputs.append(meta)
 
 
 def cmd_sweep(args, outputs: list[str]) -> None:
-    data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
+    # the configs first, so a flag out of range fails before the input is read
     grid = _config(SweepGrid, args, solver=_config(SolverConfig, args))
+    data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
     lam = run_sweep(data, grid, jobs=args.jobs)
     lam.to_csv(args.out)
     outputs.append(args.out)
@@ -138,6 +141,9 @@ def cmd_pareto(args, outputs: list[str]) -> None:
 
 
 def cmd_tram(args, outputs: list[str]) -> None:
+    # the configs first, so a flag out of range fails before the input is read
+    params = _config(TramParams, args, eps_total=args.eps, B=args.ball_radius)
+    solver = _config(SolverConfig, args)
     # the parsed points go once the split has copied them, so navigation
     # holds one copy of the data
     train, validation = split_validation(
@@ -145,8 +151,7 @@ def cmd_tram(args, outputs: list[str]) -> None:
         args.val_fraction,
         seed=args.seed,
     )
-    params = _config(TramParams, args, eps_total=args.eps, B=args.ball_radius)
-    trace = run_tram(train, validation, params, _config(SolverConfig, args))
+    trace = run_tram(train, validation, params, solver)
     trace.to_csv(args.trace_out)
     outputs.append(args.trace_out)
     centers_out = args.centers_out or _sibling(args.trace_out, "_centers.csv")

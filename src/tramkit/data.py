@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "save_mixture_meta",
+    "save_twin",
     "split_validation",
 ]
 
@@ -103,17 +107,27 @@ def load_csv(path, has_header: bool | None = False) -> Dataset:
     Rejects ragged rows, non-numeric fields, and non-finite values with an
     error naming the offending row (1-based, counting the header if any).
 
-    The file is opened once. If it is seekable, a plain numeric file is
+    Unless `has_header` is False, a regular file with a `save_twin` twin
+    beside it whose digest is the file's SHA-256 now, and whose points pass
+    the `Dataset` checks, loads as the twin's points: the file is hashed
+    before anything is parsed, and the twin's points are read only on a
+    match.
+
+    Any other file is parsed. If it is seekable, a plain numeric file is
     read by `np.loadtxt`, whose fields parse to the same doubles as
     `float()`, and checked finite in one scan. Any file it rejects, reads
     as empty or finds non-finite (ragged rows, quoted fields, `1_0`,
     whitespace-only lines, `nan`, `1e309`), and any whose first line has a
-    quote, is parsed again from the start, row by row with `csv.reader`, which
-    accepts the same files and raises the same messages at the same rows
-    as it always has. A stream that cannot seek (a pipe, `/dev/stdin`)
-    goes to the row parser in one pass. `#` starts no comment: such a
-    line is a non-numeric field.
+    quote, is parsed again from the start, row by row with `csv.reader`,
+    which accepts the same files and raises the same messages at the same
+    rows as it always has. A stream that cannot seek (a pipe,
+    `/dev/stdin`) goes to the row parser in one pass. `#` starts no
+    comment: such a line is a non-numeric field.
     """
+    if has_header is not False:
+        twin = _load_twin(path)
+        if twin is not None:
+            return twin
     with open(path, newline="") as fh:
         if fh.seekable():
             arr = _load_plain(fh, has_header)
@@ -121,6 +135,57 @@ def load_csv(path, has_header: bool | None = False) -> Dataset:
                 return _wrap(Dataset, arr)
             fh.seek(0)
         return _wrap(Dataset, _parse_rows(fh, path, has_header))
+
+
+# Bytes that the twin's digest reads from the CSV at a time.
+_HASH_CHUNK = 1 << 20
+
+
+def _twin_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def save_twin(data: Dataset, csv_path) -> str:
+    """Write `<csv_path>.npz`, a binary twin of the CSV `save_csv(data,
+    csv_path)` wrote there, and return its path.
+
+    The twin is an uncompressed `np.savez` archive of two arrays: `points`,
+    `data.points` as float64, and `sha256`, the hex SHA-256 of the CSV's
+    bytes as they are now. `load_csv` returns the twin's points in place of
+    parsing the CSV only while the CSV still has that digest, and never
+    under `has_header=False`: the CSV must carry `save_csv`'s header row.
+    The twin is trusted as the CSV beside it is: whoever may write the one
+    may write the other, so a twin holding other points under a matching
+    digest would load as those points.
+    """
+    twin = _twin_path(csv_path)
+    with open(twin, "wb") as fh:
+        np.savez(fh, points=data.points, sha256=np.array(_file_sha256(csv_path)))
+    return twin
+
+
+def _load_twin(path):
+    # the Dataset of path's twin when it matches path's bytes, else None;
+    # a pipe or device is never hashed, since that would consume it
+    twin = _twin_path(path)
+    if not (os.path.isfile(path) and os.path.isfile(twin)):
+        return None
+    try:
+        with open(twin, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if str(npz["sha256"]) != _file_sha256(path):
+                return None
+            return Dataset(npz["points"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        # an unreadable or malformed twin, or points Dataset rejects
+        return None
 
 
 def _is_header(row: list[str], has_header: bool | None) -> bool:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import inspect
 import json
+import shutil
 import weakref
 from dataclasses import MISSING, fields
 
@@ -69,6 +70,39 @@ def test_gen_file_reloads_bit_for_bit(tmp_path):
     want = gen_synthetic(SyntheticSpec(n=5000, d=4, k_true=6, seed=9)).data.points
     got = load_csv(out, has_header=None).points
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the columns that hold clock readings, which differ between any two runs
+_TIME_COLUMNS = {"mean_time_s", "median_time_s", "t_solver_ms", "t_val_ms"}
+
+
+def untimed_rows(path):
+    return [{k: v for k, v in row.items() if k not in _TIME_COLUMNS} for row in read_rows(path)]
+
+
+def test_sweep_and_tram_results_do_not_depend_on_the_twin(tmp_path):
+    twin_dir, plain_dir = tmp_path / "twin", tmp_path / "plain"
+    twin_dir.mkdir()
+    plain_dir.mkdir()
+    data = twin_dir / "data.csv"
+    gen = ["gen", "--n", "3000", "--d", "3", "--k-true", "4", "--seed", "5", "--out", str(data)]
+    assert main(gen) == 0
+    manifest = json.loads((twin_dir / "data.manifest.json").read_text())
+    assert manifest["outputs"] == [str(data), f"{data}.npz", str(twin_dir / "data_meta.csv")]
+    shutil.copyfile(data, plain_dir / "data.csv")
+    for work in (twin_dir, plain_dir):
+        source = str(work / "data.csv")
+        assert main(["sweep", "--input", source, "--procedure", "coreset",
+                     "--n-values", "500,3000", "--s-values", "20,80", "--repeats", "2",
+                     "--k", "4", "--seed", "3", "--out", str(work / "lam.csv")]) == 0
+        assert main(["tram", "--input", source, "--eps", "20", "--k", "4", "--seed", "6",
+                     "--trace-out", str(work / "trace.csv")]) == 0
+    assert not (plain_dir / "data.csv.npz").exists()
+    for name in ("lam.csv", "trace.csv"):
+        assert untimed_rows(twin_dir / name) == untimed_rows(plain_dir / name)
+    assert (twin_dir / "trace_centers.csv").read_bytes() == (
+        plain_dir / "trace_centers.csv"
+    ).read_bytes()
 
 
 def test_tram_centers_file_is_csv_writer_rendering(tmp_path, monkeypatch):
@@ -457,6 +491,24 @@ def test_analytic_empty_range_list_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --range: expected at least one number" in capsys.readouterr().err
     assert no_manifest_written(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--procedure", "uniform", "--n-values", "10", "--s-values", "5", "--out"],
+        ["tram", "--eps", "1", "--trace-out"],
+    ],
+    ids=["sweep", "tram"],
+)
+def test_config_range_error_comes_before_the_input_is_read(tmp_path, argv):
+    # the input does not exist: a config built after reading it never fails
+    out = tmp_path / "out.csv"
+    missing = str(tmp_path / "missing.csv")
+    assert main([argv[0], "--input", missing, "--k", "0", *argv[1:], str(out)]) == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["error"] == "ValueError: k must be >= 1"
+    assert manifest["outputs"] == []
 
 
 @pytest.mark.parametrize(

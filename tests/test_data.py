@@ -1,14 +1,17 @@
+import hashlib
 import os
+import shutil
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tramkit import Dataset, SyntheticSpec, gen_synthetic, load_csv, save_csv, split_validation
 from tramkit.core import _BLOCK_ROWS
-from tramkit.data import _WRITE_ROWS, save_mixture_meta
+from tramkit.data import _WRITE_ROWS, save_mixture_meta, save_twin
 
 from oracles import csv_writer_bytes, mixture_reference
 
@@ -229,6 +232,12 @@ def _load_through_fifo(path, text, has_header):
         writer.join(timeout=10)
 
 
+def write_twin(csv_bytes, twin, points, digest=np.array):
+    # a twin laid out as save_twin lays it out, of any points, that names
+    # `csv_bytes` as its CSV
+    np.savez(twin, points=points, sha256=digest(hashlib.sha256(csv_bytes).hexdigest()))
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("has_header", [True, False, None])
 def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
@@ -237,13 +246,97 @@ def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
     pts = np.random.default_rng(12).normal(size=(50, 3)) * 1e3
     f = tmp_path / "pts.csv"
     save_csv(Dataset(pts), f, header=header)
-    got = _load_through_fifo(tmp_path / "plain.fifo", f.read_text(), has_header)
+    # a twin beside the pipe naming the bytes it carries, but other points:
+    # hashing the pipe would consume it, so it is never consulted
+    text = f.read_text()
+    write_twin(text.encode(), tmp_path / "plain.fifo.npz", pts + 1.0)
+    got = _load_through_fifo(tmp_path / "plain.fifo", text, has_header)
     assert same_bits(got.points, pts)
     head = "x,y\n" if header else ""
     got = _load_through_fifo(tmp_path / "quoted.fifo", head + '"1","2"\n1_0,4\n', has_header)
     assert same_bits(got.points, np.array([[1.0, 2.0], [10.0, 4.0]]))
     with pytest.raises(ValueError, match=f"row {2 + header}: non-numeric field"):
         _load_through_fifo(tmp_path / "bad.fifo", head + "1,2\n#3,4\n", has_header)
+
+
+def saved_with_twin(path, pts):
+    # what `tramkit gen` writes: the CSV with its header, then its twin
+    save_csv(Dataset(pts), path)
+    return save_twin(Dataset(pts), path)
+
+
+@pytest.mark.parametrize("has_header", [True, None])
+def test_load_csv_gives_the_same_bits_with_and_without_the_twin(tmp_path, has_header):
+    # arbitrary finite doubles: subnormals, -0.0 and every exponent
+    bits = np.random.default_rng(13).integers(0, 2**64, size=(300, 4), dtype=np.uint64)
+    pts = bits.view(np.float64)
+    pts[~np.isfinite(pts)] = -0.0
+    f = tmp_path / "data.csv"
+    twin = saved_with_twin(f, pts)
+    assert twin == f"{f}.npz"
+    with_twin = load_csv(f, has_header=has_header).points
+    os.remove(twin)
+    parsed = load_csv(f, has_header=has_header).points
+    assert np.array_equal(with_twin.view(np.int64), pts.view(np.int64))
+    assert np.array_equal(parsed.view(np.int64), pts.view(np.int64))
+    assert with_twin.flags.c_contiguous and not with_twin.flags.writeable
+    # a twin is trusted as its CSV is: one naming the CSV's bytes is what loads
+    write_twin(f.read_bytes(), twin, -pts[:7])
+    assert same_bits(load_csv(f, has_header=has_header).points, -pts[:7])
+
+
+def _edit_a_digit(f, twin, pts):
+    head, body = f.read_bytes().split(b"\r\n", 1)
+    f.write_bytes(head + b"\r\n" + body.replace(b"5", b"6", 1))
+
+
+def _append_a_row(f, twin, pts):
+    with open(f, "ab") as fh:
+        fh.write(b"1.5,-2.5,3.5\r\n")
+
+
+def _write_npy(f, twin, pts):
+    with open(twin, "wb") as fh:
+        np.save(fh, pts + 1.0)
+
+
+_SPOILED_TWINS = {
+    "digit-edited": _edit_a_digit,
+    "row-appended": _append_a_row,
+    "empty": lambda f, twin, pts: twin.write_bytes(b""),
+    "garbage": lambda f, twin, pts: twin.write_bytes(bytes(range(256)) * 8),
+    "truncated": lambda f, twin, pts: twin.write_bytes(twin.read_bytes()[:1000]),
+    "nan-points": lambda f, twin, pts: write_twin(
+        f.read_bytes(), twin, np.where(pts > 0, np.nan, pts)
+    ),
+    "no-digest": lambda f, twin, pts: np.savez(twin, points=pts + 1.0),
+    # unpickled, this 0-d object array would name the CSV
+    "pickled-digest": lambda f, twin, pts: write_twin(
+        f.read_bytes(), twin, pts + 1.0, digest=lambda h: np.array(h, dtype=object)
+    ),
+    "npy-file": _write_npy,
+}
+
+
+@pytest.mark.parametrize("spoil", _SPOILED_TWINS.values(), ids=_SPOILED_TWINS)
+def test_load_csv_parses_the_csv_when_its_twin_does_not_match(tmp_path, spoil):
+    pts = np.random.default_rng(14).normal(size=(200, 3)) * 1e3
+    f = tmp_path / "data.csv"
+    twin = Path(saved_with_twin(f, pts))
+    spoil(f, twin, pts)
+    plain = tmp_path / "plain.csv"
+    shutil.copyfile(f, plain)
+    want = load_csv(plain, has_header=None).points
+    assert same_bits(load_csv(f, has_header=None).points, want)
+    if spoil in (_edit_a_digit, _append_a_row):
+        assert not same_bits(want, pts)
+
+
+def test_load_csv_without_a_header_never_reads_the_twin(tmp_path):
+    f = tmp_path / "data.csv"
+    saved_with_twin(f, np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="row 1: non-numeric field"):
+        load_csv(f, has_header=False)
 
 
 def test_mixture_meta_sidecar(tmp_path):
