@@ -159,8 +159,8 @@ def coreset_optimum(n: int, p: AnalyticParams) -> ProcOptimum:
     if n < 1:
         raise ValueError("n must be >= 1")
     subs = subsampler_optimum(n, p)
-    if p.eps_total <= eps_model(p):
-        return ProcOptimum(feasible=False, structurally_infeasible=True)
+    if subs.structurally_infeasible:
+        return subs
 
     best = None  # (t, s, m)
     grid = _MASTER_S_GRID
@@ -177,14 +177,10 @@ def coreset_optimum(n: int, p: AnalyticParams) -> ProcOptimum:
         else:
             best = (float(t[j]), int(grid[j]), int(m[j]))
 
-    if best is None:
-        if subs.feasible:
-            return ProcOptimum(
-                feasible=True, t=subs.t, m=subs.m, backed_off=True
-            )
-        return ProcOptimum(feasible=False)
-    if subs.feasible and subs.t <= best[0]:
+    if subs.feasible and (best is None or subs.t <= best[0]):
         return ProcOptimum(feasible=True, t=subs.t, m=subs.m, backed_off=True)
+    if best is None:
+        return ProcOptimum(feasible=False)
     return ProcOptimum(feasible=True, t=best[0], m=best[2], s=best[1])
 
 

@@ -4,8 +4,9 @@ The three value types (`Dataset`, `Centers`, `WeightedSet`) never change
 after construction and are safe to share across threads: their public
 constructors validate a private, read-only, C-ordered copy of what a caller
 passes, and `_wrap` takes arrays the library built from validated values
-without a copy or a scan. The risk operations are pure functions of their
-inputs.
+without a copy or a scan. An array the library has just read, and alone
+holds, is checked in place by the constructors' rule, with no copy, and
+then wrapped. The risk operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ def _wrap(cls, *arrays: np.ndarray):
     return obj
 
 
-def _as_points(points, name: str) -> np.ndarray:
+def _as_points(points, name: str, copy: bool = True) -> np.ndarray:
     # C order whatever the caller's layout: einsum's summation order, and
-    # so the last bit of a squared distance, follows the layout
-    arr = np.array(points, dtype=np.float64, order="C")
+    # so the last bit of a squared distance, follows the layout; copy=False
+    # converts only where it must, for arrays no caller holds
+    arr = (np.array if copy else np.asarray)(points, dtype=np.float64, order="C")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:

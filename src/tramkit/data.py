@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, _wrap
+from .core import _BLOCK_ROWS, Dataset, _as_points, _wrap
 from .rng import derive_rng
 
 __all__ = [
@@ -109,13 +109,13 @@ def load_csv(path, has_header: bool | None = False) -> Dataset:
 
     Unless `has_header` is False, a regular file with a `save_twin` twin
     beside it whose digest is the file's SHA-256 now, and whose points pass
-    the `Dataset` checks, loads as the twin's points: the file is hashed
-    before anything is parsed, and the twin's points are read only on a
-    match.
+    the constructors' points rule, checked in place with no copy, loads as
+    the twin's points: the file is hashed before anything is parsed, and
+    the twin's points are read only on a match.
 
     Any other file is parsed. If it is seekable, a plain numeric file is
     read by `np.loadtxt`, whose fields parse to the same doubles as
-    `float()`, and checked finite in one scan. Any file it rejects, reads
+    `float()`, and checked in place by that rule. Any file it rejects, reads
     as empty or finds non-finite (ragged rows, quoted fields, `1_0`,
     whitespace-only lines, `nan`, `1e309`), and any whose first line has a
     quote, is parsed again from the start, row by row with `csv.reader`,
@@ -161,11 +161,17 @@ def save_twin(data: Dataset, csv_path) -> str:
     `data.points` as float64, and `sha256`, the hex SHA-256 of the CSV's
     bytes as they are now. `load_csv` returns the twin's points in place of
     parsing the CSV only while the CSV still has that digest, and never
-    under `has_header=False`: the CSV must carry `save_csv`'s header row.
+    under `has_header=False`. It raises a ValueError naming the path, and
+    writes nothing, unless the CSV's first line is `save_csv`'s header for
+    `data.d`, the row that the parse drops and the twin does not hold.
     The twin is trusted as the CSV beside it is: whoever may write the one
     may write the other, so a twin holding other points under a matching
     digest would load as those points.
     """
+    head = _csv_header(data.d).encode()
+    with open(csv_path, "rb") as fh:
+        if fh.read(len(head)) != head:
+            raise ValueError(f"{csv_path}: first line is not save_csv's header")
     twin = _twin_path(csv_path)
     with open(twin, "wb") as fh:
         np.savez(fh, points=data.points, sha256=np.array(_file_sha256(csv_path)))
@@ -182,9 +188,9 @@ def _load_twin(path):
         with open(twin, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["sha256"]) != _file_sha256(path):
                 return None
-            return Dataset(npz["points"])
+            return _wrap(Dataset, _as_points(npz["points"], "points", copy=False))
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
-        # an unreadable or malformed twin, or points Dataset rejects
+        # an unreadable or malformed twin, or points that fail the points rule
         return None
 
 
@@ -221,9 +227,9 @@ def _load_plain(fh, has_header: bool | None):
             dtype=np.float64,
             comments=None,
         )
+        return _as_points(arr, "points", copy=False)
     except ValueError:
         return None
-    return arr if arr.size and np.isfinite(arr).all() else None
 
 
 def _parse_rows(fh, path, has_header: bool | None) -> np.ndarray:
@@ -265,10 +271,14 @@ def save_csv(data: Dataset, path, header: bool = True) -> None:
     """
     with open(path, "w", newline="") as fh:
         if header:
-            fh.write(",".join(f"x{j}" for j in range(data.d)) + "\r\n")
+            fh.write(_csv_header(data.d))
         for lo in range(0, data.n, _WRITE_ROWS):
             chunk = data.points[lo : lo + _WRITE_ROWS].tolist()
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in chunk)
+
+
+def _csv_header(d: int) -> str:
+    return ",".join(f"x{j}" for j in range(d)) + "\r\n"
 
 
 def _write_table(path, header, rows) -> None:

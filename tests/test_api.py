@@ -99,7 +99,7 @@ def test_no_orphan_private_helpers():
 PRIVATE_IMPORTS = {
     "cli": {"data._write_table"},
     "coreset": {"core._wrap", "solver._dsquared"},
-    "data": {"core._BLOCK_ROWS", "core._wrap"},
+    "data": {"core._BLOCK_ROWS", "core._as_points", "core._wrap"},
     "solver": {"core._BLOCK_ROWS", "core._EPS", "core._TINY", "core._wrap"},
     "tradeoff": {"data._write_table"},
     "tram": {"data._write_table"},

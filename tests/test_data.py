@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from tramkit import Dataset, SyntheticSpec, gen_synthetic, load_csv, save_csv, split_validation
 from tramkit.core import _BLOCK_ROWS
-from tramkit.data import _WRITE_ROWS, save_mixture_meta, save_twin
+from tramkit.data import _HASH_CHUNK, _WRITE_ROWS, save_mixture_meta, save_twin
 
 from oracles import csv_writer_bytes, mixture_reference
 
@@ -283,6 +284,62 @@ def test_load_csv_gives_the_same_bits_with_and_without_the_twin(tmp_path, has_he
     # a twin is trusted as its CSV is: one naming the CSV's bytes is what loads
     write_twin(f.read_bytes(), twin, -pts[:7])
     assert same_bits(load_csv(f, has_header=has_header).points, -pts[:7])
+
+
+_CONVERTED_TWINS = {
+    "float32": lambda pts: pts.astype(np.float32),
+    "fortran": np.asfortranarray,
+}
+
+
+@pytest.mark.parametrize("stored", _CONVERTED_TWINS.values(), ids=_CONVERTED_TWINS)
+def test_load_csv_converts_a_twin_to_c_ordered_float64(tmp_path, stored):
+    # the twins whose points the loader must convert rather than take as read
+    pts = np.random.default_rng(15).normal(size=(300, 4)) * 1e3
+    f = tmp_path / "data.csv"
+    twin = saved_with_twin(f, pts)
+    write_twin(f.read_bytes(), twin, stored(pts))
+    got = load_csv(f, has_header=True).points
+    assert same_bits(got, np.asarray(stored(pts), np.float64, order="C"))
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
+def test_load_csv_holds_one_copy_of_the_twins_points(tmp_path):
+    data = gen_synthetic(SyntheticSpec(n=60_000, d=10, k_true=10, seed=3)).data
+    f = tmp_path / "data.csv"
+    saved_with_twin(f, data.points)
+    assert data.points.nbytes > _HASH_CHUNK
+    # numpy's and zipfile's first calls allocate caches of their own
+    small = tmp_path / "small.csv"
+    saved_with_twin(small, data.points[:5])
+    load_csv(small, has_header=True)
+    tracemalloc.start()
+    try:
+        got = load_csv(f, has_header=True).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the points, a bool finiteness mask and a hash chunk; a validating
+    # copy of what np.load returns would hold the points twice
+    assert peak < 1.5 * got.nbytes
+    assert same_bits(got, data.points)
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
+def test_save_twin_requires_save_csvs_header(tmp_path):
+    data = Dataset(np.arange(6.0).reshape(3, 2))
+    f = tmp_path / "data.csv"
+    save_csv(data, f, header=False)
+    with pytest.raises(ValueError, match=re.escape(f"{f}: first line is not save_csv's")):
+        save_twin(data, f)
+    assert not os.path.exists(f"{f}.npz")
+    # a header for another dimension is not save_csv's header for this one
+    save_csv(Dataset(np.arange(6.0).reshape(2, 3)), f)
+    with pytest.raises(ValueError, match="header"):
+        save_twin(data, f)
+    assert not os.path.exists(f"{f}.npz")
+    assert load_csv(f, has_header=True).n == 2
 
 
 def _edit_a_digit(f, twin, pts):
