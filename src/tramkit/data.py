@@ -44,12 +44,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.k_true < 1:
             raise ValueError("n, d, k_true must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be nonnegative and finite")
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
-        if not self.box[1] > self.box[0]:
-            raise ValueError("box must be a (low, high) interval")
+        if not 0.0 < self.box[1] - self.box[0] < math.inf:
+            raise ValueError("box must be a (low, high) interval of finite width")
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,18 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     The noise is drawn as the output array, and each point's mean is added
     into it `_BLOCK_ROWS` rows at a time, so generation holds one (n, d)
     array and a block of gathered means. Addition commutes in IEEE
-    arithmetic, so each point is the bits of `means[comp] + noise`.
+    arithmetic, so each point is the bits of `means[comp] + noise`: of its
+    mean under sigma2 = 0, whose noise is +0.0 (no mean is -0.0).
     """
     rng = derive_rng(spec.seed, "synthetic")
     lo, hi = spec.box
     weights = _dirichlet(spec.dirichlet_alpha, spec.k_true, rng)
     means = rng.uniform(lo, hi, size=(spec.k_true, spec.d))
     comp = rng.choice(spec.k_true, size=spec.n, p=weights)
-    if spec.sigma2 == 0:
-        pts = np.take(means, comp, axis=0)
-    else:
-        pts = rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
-        for start in range(0, spec.n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            pts[rows] += np.take(means, comp[rows], axis=0)
+    pts = rng.normal(0.0, math.sqrt(spec.sigma2), size=(spec.n, spec.d))
+    for start in range(0, spec.n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        pts[rows] += np.take(means, comp[rows], axis=0)
     return SyntheticResult(data=_wrap(Dataset, pts), means=means, weights=weights)
 
 
@@ -101,8 +99,9 @@ _WRITE_ROWS = 4096
 
 def load_csv(path, has_header: bool | None = False) -> Dataset:
     """Parse a rectangular numeric CSV into a Dataset. Under `has_header=None`
-    the first row is a header when one of its non-blank fields, as
-    `csv.reader` splits and unquotes them, is not a float.
+    (the CLI's `--header auto`) the first row is a header when one of its
+    non-blank fields, as `csv.reader` splits and unquotes them, is not a
+    float. The default, False, reads `save_csv`'s header as a bad row 1.
 
     Rejects ragged rows, non-numeric fields, and non-finite values with an
     error naming the offending row (1-based, counting the header if any).
@@ -261,8 +260,9 @@ def _parse_rows(fh, path, has_header: bool | None) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def save_csv(data: Dataset, path, header: bool = True) -> None:
-    """Write one point per row; repr-formatted floats round-trip exactly.
+def save_csv(data: Dataset, path) -> None:
+    """Write an `x0,x1,...` header, then one point per row. `load_csv` reads
+    it back bit for bit under `has_header=None` or True, not its default.
 
     The bytes are those of `csv.writer`: each float's repr, comma-separated,
     rows ending in CRLF. Rows go out in chunks of `_WRITE_ROWS`, each
@@ -270,8 +270,7 @@ def save_csv(data: Dataset, path, header: bool = True) -> None:
     than one chunk.
     """
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(_csv_header(data.d))
+        fh.write(_csv_header(data.d))
         for lo in range(0, data.n, _WRITE_ROWS):
             chunk = data.points[lo : lo + _WRITE_ROWS].tolist()
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in chunk)

@@ -379,7 +379,7 @@ def _lloyd(ws: WeightedSet, centers: np.ndarray, groups: int, cfg: SolverConfig)
     screen = groups == 1 and n >= _LLOYD_SCREEN_MIN
     lb = np.empty(n) if screen else None
 
-    labels, d2 = assign_nearest(pts, centers, _norms=norms, _lb=lb, _groups=groups)
+    labels, d2 = assign_nearest(pts, centers, _norms=norms, _groups=groups)
     histories = [[float(w @ row)] for row in d2]
     running = list(range(groups))
     results = [None] * groups

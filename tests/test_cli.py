@@ -12,7 +12,7 @@ import pytest
 from tramkit import cli
 from tramkit.analytic import AnalyticParams, analytic_curves
 from tramkit.cli import main
-from tramkit.data import gen_synthetic, SyntheticSpec, load_csv, save_csv
+from tramkit.data import gen_synthetic, SyntheticSpec, load_csv
 from tramkit.solver import SolverConfig
 from tramkit.tradeoff import SweepGrid
 from tramkit.tram import TramParams
@@ -33,7 +33,7 @@ def write_blobs(path, n=300, seed=0):
     res = gen_synthetic(
         SyntheticSpec(n=n, d=2, k_true=3, box=(0, 8), sigma2=0.3, dirichlet_alpha=2.0, seed=seed)
     )
-    save_csv(res.data, path, header=False)
+    path.write_bytes(csv_writer_bytes(res.data.points, header=False))
     return res
 
 
@@ -53,6 +53,16 @@ def test_gen_writes_csv_and_manifest(tmp_path):
     assert manifest["error"] is None
     assert str(out) in manifest["outputs"]
     assert manifest["seed"] == 7
+
+
+def test_gen_non_finite_sigma2_writes_no_csv(tmp_path):
+    out = tmp_path / "d.csv"
+    argv = ["gen", "--n", "20", "--d", "2", "--k-true", "2", "--sigma2", "inf"]
+    assert main([*argv, "--out", str(out)]) == 1
+    manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert manifest["error"] == "ValueError: sigma2 must be nonnegative and finite"
+    assert manifest["outputs"] == []
+    assert not out.exists() and not (tmp_path / "d.csv.npz").exists()
 
 
 def test_gen_deterministic_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -18,11 +19,14 @@ from oracles import csv_writer_bytes, mixture_reference
 
 
 def test_sigma_zero_collapses_to_means():
-    spec = SyntheticSpec(n=200, d=3, k_true=4, sigma2=0.0, seed=1)
-    res = gen_synthetic(spec)
-    means = {tuple(m) for m in res.means}
-    for p in res.data.points:
-        assert tuple(p) in means
+    # compared as bits: a point of -0.0 where its mean has +0.0 compares
+    # equal as floats
+    for d, box in [(1, (-1.0, 1.0)), (3, (0.0, 100.0)), (10, (-1.0, 1.0))]:
+        spec = SyntheticSpec(n=200, d=d, k_true=4, box=box, sigma2=0.0, seed=1)
+        res = gen_synthetic(spec)
+        means = {tuple(m) for m in res.means.view(np.int64)}
+        for p in res.data.points.view(np.int64):
+            assert tuple(p) in means
 
 
 def test_single_component_law_of_large_numbers():
@@ -136,13 +140,22 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def write_csv(pts, f, header):
+    # save_csv's file, or the same rows without its header
+    if header:
+        save_csv(Dataset(pts), f)
+    else:
+        f.write_bytes(csv_writer_bytes(pts, header=False))
+
+
 def test_save_csv_bytes_match_csv_writer(tmp_path):
     values = [1e-300, 5e-324, -0.0, 1 / 3, 1e16, 1e22, 2.5e-7, -1.5, 0.0, 123456789.125]
     pts = np.array(values).reshape(5, 2)
     f = tmp_path / "special.csv"
+    save_csv(Dataset(pts), f)
+    assert f.read_bytes() == csv_writer_bytes(pts)
     for header in (True, False):
-        save_csv(Dataset(pts), f, header=header)
-        assert f.read_bytes() == csv_writer_bytes(pts, header)
+        write_csv(pts, f, header)
         assert same_bits(load_csv(f, has_header=header).points, pts)
 
 
@@ -150,12 +163,21 @@ def test_save_csv_bytes_match_csv_writer(tmp_path):
 def test_save_csv_chunk_boundaries(tmp_path, n):
     pts = np.random.default_rng(n).normal(size=(n, 3)) * 1e3
     f = tmp_path / "rows.csv"
+    save_csv(Dataset(pts), f)
+    assert f.read_bytes() == csv_writer_bytes(pts)
     for header in (True, False):
-        save_csv(Dataset(pts), f, header=header)
-        assert f.read_bytes() == csv_writer_bytes(pts, header)
+        write_csv(pts, f, header)
         back = load_csv(f, has_header=header).points
         assert same_bits(back, pts)
         assert back.flags.c_contiguous
+
+
+def test_load_csv_default_does_not_read_save_csvs_file(tmp_path):
+    f = tmp_path / "headed.csv"
+    save_csv(Dataset(np.arange(6.0).reshape(3, 2)), f)
+    with pytest.raises(ValueError, match="row 1: non-numeric field"):
+        load_csv(f)
+    assert load_csv(f, has_header=None).n == 3
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
@@ -181,7 +203,7 @@ def test_csv_round_trip_property(tmp_path):
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, shapes, elements=finite), st.booleans())
     def round_trip(pts, header):
-        save_csv(Dataset(pts), f, header=header)
+        write_csv(pts, f, header)
         assert same_bits(load_csv(f, has_header=header).points, pts)
 
     round_trip()
@@ -246,7 +268,7 @@ def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
     header = has_header is not False
     pts = np.random.default_rng(12).normal(size=(50, 3)) * 1e3
     f = tmp_path / "pts.csv"
-    save_csv(Dataset(pts), f, header=header)
+    write_csv(pts, f, header)
     # a twin beside the pipe naming the bytes it carries, but other points:
     # hashing the pipe would consume it, so it is never consulted
     text = f.read_text()
@@ -330,7 +352,7 @@ def test_load_csv_holds_one_copy_of_the_twins_points(tmp_path):
 def test_save_twin_requires_save_csvs_header(tmp_path):
     data = Dataset(np.arange(6.0).reshape(3, 2))
     f = tmp_path / "data.csv"
-    save_csv(data, f, header=False)
+    write_csv(data.points, f, header=False)
     with pytest.raises(ValueError, match=re.escape(f"{f}: first line is not save_csv's")):
         save_twin(data, f)
     assert not os.path.exists(f"{f}.npz")
@@ -445,3 +467,10 @@ def test_spec_validation():
         SyntheticSpec(n=1, box=(4.0, 4.0))
     with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
         SyntheticSpec(n=1, sigma2=-0.5)
+    # gen_synthetic would wrap non-finite points, or numpy would overflow
+    for sigma2 in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
+            SyntheticSpec(n=1, sigma2=sigma2)
+    for box in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite width"):
+            SyntheticSpec(n=1, box=box)
