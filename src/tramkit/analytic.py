@@ -54,12 +54,14 @@ class AnalyticParams:
     def __post_init__(self):
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be positive integers")
-        if min(self.sigma_bar, self.alpha_init, self.alpha_samp, self.A, self.B) <= 0:
-            raise ValueError("all coefficients must be positive")
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
-        if self.eps_total <= 0:
-            raise ValueError("eps_total must be positive")
+        # each coefficient on its own, and each range written so that NaN fails it
+        coeffs = (self.sigma_bar, self.alpha_init, self.alpha_samp, self.A, self.B)
+        if not all(0.0 < c < math.inf for c in coeffs):
+            raise ValueError("all coefficients must be positive and finite")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("beta must exceed 1 and be finite")
+        if not 0.0 < self.eps_total < math.inf:
+            raise ValueError("eps_total must be positive and finite")
 
 
 def eps_model(p: AnalyticParams) -> float:

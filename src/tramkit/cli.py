@@ -106,9 +106,7 @@ def _utcnow() -> str:
 
 def cmd_gen(args, outputs: list[str]) -> None:
     result = gen_synthetic(_config(SyntheticSpec, args, box=(args.box_low, args.box_high)))
-    save_csv(result.data, args.out)
-    outputs.append(args.out)
-    outputs.append(save_twin(result.data, args.out))
+    outputs.extend([args.out, save_twin(result.data, args.out)])
     meta = args.meta_out or _sibling(args.out, "_meta.csv")
     save_mixture_meta(result, meta)
     outputs.append(meta)

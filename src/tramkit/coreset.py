@@ -68,7 +68,7 @@ class EtaModel:
     k: int = 1
 
     def __post_init__(self):
-        if self.A <= 0:
+        if not self.A > 0:
             raise ValueError("A must be positive")
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be positive integers")

@@ -46,7 +46,8 @@ class SyntheticSpec:
             raise ValueError("n, d, k_true must be positive")
         if not 0.0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be nonnegative and finite")
-        if self.dirichlet_alpha <= 0:
+        # inf is the equal-weights limit; NaN fails the comparison
+        if not self.dirichlet_alpha > 0:
             raise ValueError("dirichlet_alpha must be positive")
         if not 0.0 < self.box[1] - self.box[0] < math.inf:
             raise ValueError("box must be a (low, high) interval of finite width")
@@ -90,11 +91,6 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         rows = slice(start, start + _BLOCK_ROWS)
         pts[rows] += np.take(means, comp[rows], axis=0)
     return SyntheticResult(data=_wrap(Dataset, pts), means=means, weights=weights)
-
-
-# Rows that `save_csv` turns into Python floats at a time: about a megabyte
-# of floats at d = 10, where the whole array would hold 22 MB at 60k points.
-_WRITE_ROWS = 4096
 
 
 def load_csv(path, has_header: bool | None = False) -> Dataset:
@@ -153,24 +149,19 @@ def _file_sha256(path) -> str:
 
 
 def save_twin(data: Dataset, csv_path) -> str:
-    """Write `<csv_path>.npz`, a binary twin of the CSV `save_csv(data,
-    csv_path)` wrote there, and return its path.
+    """Write `data` as `save_csv(data, csv_path)` does, then
+    `<csv_path>.npz`, its binary twin, and return the twin's path.
 
     The twin is an uncompressed `np.savez` archive of two arrays: `points`,
     `data.points` as float64, and `sha256`, the hex SHA-256 of the CSV's
-    bytes as they are now. `load_csv` returns the twin's points in place of
-    parsing the CSV only while the CSV still has that digest, and never
-    under `has_header=False`. It raises a ValueError naming the path, and
-    writes nothing, unless the CSV's first line is `save_csv`'s header for
-    `data.d`, the row that the parse drops and the twin does not hold.
-    The twin is trusted as the CSV beside it is: whoever may write the one
-    may write the other, so a twin holding other points under a matching
-    digest would load as those points.
+    bytes as they were written. `load_csv` returns the twin's points in
+    place of parsing the CSV only while the CSV still has that digest, and
+    never under `has_header=False`. The twin is trusted as the CSV beside
+    it is: whoever may write the one may write the other, so a twin
+    holding other points under a matching digest would load as those
+    points.
     """
-    head = _csv_header(data.d).encode()
-    with open(csv_path, "rb") as fh:
-        if fh.read(len(head)) != head:
-            raise ValueError(f"{csv_path}: first line is not save_csv's header")
+    save_csv(data, csv_path)
     twin = _twin_path(csv_path)
     with open(twin, "wb") as fh:
         np.savez(fh, points=data.points, sha256=np.array(_file_sha256(csv_path)))
@@ -265,19 +256,15 @@ def save_csv(data: Dataset, path) -> None:
     it back bit for bit under `has_header=None` or True, not its default.
 
     The bytes are those of `csv.writer`: each float's repr, comma-separated,
-    rows ending in CRLF. Rows go out in chunks of `_WRITE_ROWS`, each
+    rows ending in CRLF. Rows go out in chunks of `_BLOCK_ROWS`, each
     turned into Python floats at once, so the conversion never holds more
     than one chunk.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_header(data.d))
-        for lo in range(0, data.n, _WRITE_ROWS):
-            chunk = data.points[lo : lo + _WRITE_ROWS].tolist()
+        fh.write(",".join(f"x{j}" for j in range(data.d)) + "\r\n")
+        for lo in range(0, data.n, _BLOCK_ROWS):
+            chunk = data.points[lo : lo + _BLOCK_ROWS].tolist()
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in chunk)
-
-
-def _csv_header(d: int) -> str:
-    return ",".join(f"x{j}" for j in range(d)) + "\r\n"
 
 
 def _write_table(path, header, rows) -> None:

@@ -41,7 +41,8 @@ class SolverConfig:
             raise ValueError("k must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0:
+        # inf stops after one iteration; NaN fails the comparison
+        if not self.rel_tol >= 0:
             raise ValueError("rel_tol must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -350,8 +351,6 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
     would repeat its centers, labels and risk and then stop: it is recorded
     (its risk appended, the iteration counted) without being run.
     """
-    if ws.d != init.d:
-        raise ValueError("dimension mismatch between points and centers")
     return _lloyd(ws, np.array(init.centers, dtype=np.float64), 1, cfg)[0]
 
 

@@ -55,20 +55,21 @@ class TramParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_total <= 0:
-            raise ValueError("eps_total must be positive")
+        # each range is written so that NaN fails it
+        if not 0.0 < self.eps_total < math.inf:
+            raise ValueError("eps_total must be positive and finite")
         if not 0.0 < self.delta < 0.2:
             raise ValueError("delta must lie in (0, 1/5)")
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("beta must exceed 1 and be finite")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.B is not None and self.B <= 0:
-            raise ValueError("B must be positive")
+        if self.B is not None and not 0.0 < self.B < math.inf:
+            raise ValueError("B must be positive and finite")
         if self.gamma_s is None:
             object.__setattr__(self, "gamma_s", 2.0 ** (1.0 / self.beta))
-        if self.gamma_m <= 1 or self.gamma_s <= 1:
-            raise ValueError("growth factors must exceed 1")
+        if not (1.0 < self.gamma_m < math.inf and 1.0 < self.gamma_s < math.inf):
+            raise ValueError("growth factors must exceed 1 and be finite")
         if self.m0 is not None and self.m0 < 1:
             raise ValueError("m0 must be >= 1")
         if self.s0 is not None and self.s0 < 1:
@@ -176,8 +177,11 @@ def run_tram(
     The validation pool must be disjoint from the training data. The trace
     is marked exhausted (with best-so-far centers) when the pool cannot
     cover the next budget a[i], or after SATURATED_FAILS consecutive failed
-    tests once both schedules have saturated at n.
+    tests once both schedules have saturated at n. `p.k` and `solver.k`
+    must agree.
     """
+    if p.k != solver.k:
+        raise ValueError(f"TramParams.k = {p.k} differs from SolverConfig.k = {solver.k}")
     if train.d != validation_pool.d:
         raise ValueError("train and validation dimensions differ")
     if p.B is None:

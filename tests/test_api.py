@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -117,3 +119,49 @@ def test_cross_module_private_imports_are_pinned():
                     if alias.name.startswith("_") and not alias.name.startswith("__"):
                         found.setdefault(name, set()).add(f"{node.module}.{alias.name}")
     assert found == PRIVATE_IMPORTS
+
+
+# a valid instance's arguments for each config dataclass with float fields
+CONFIGS = {
+    "AnalyticParams": {},
+    "EtaModel": {},
+    "SolverConfig": {"k": 1},
+    "SyntheticSpec": {"n": 1},
+    "TramParams": {"eps_total": 1.0, "delta": 0.1, "k": 1},
+}
+
+
+def _float_configs():
+    # every dataclass that checks its fields and has one of floats
+    found = {}
+    for name in MODULES:
+        for obj in vars(importlib.import_module(name)).values():
+            if (
+                isinstance(obj, type)
+                and dataclasses.is_dataclass(obj)
+                and "__post_init__" in vars(obj)
+                and any("float" in f.type for f in dataclasses.fields(obj))
+            ):
+                found[obj.__name__] = obj
+    return found
+
+
+def test_every_config_rejects_nan_in_each_float_field():
+    # NaN passes every `x <= bound` test, so each range check must be
+    # written so that NaN fails it
+    configs = _float_configs()
+    assert sorted(configs) == sorted(CONFIGS)
+    for name, given in CONFIGS.items():
+        cls = configs[name]
+        base = cls(**given)
+        for f in dataclasses.fields(cls):
+            value = getattr(base, f.name)
+            if f.type.startswith("float"):
+                bad = [math.nan]
+            elif f.type.startswith("tuple[float"):
+                bad = [value[:i] + (math.nan,) + value[i + 1 :] for i in range(len(value))]
+            else:
+                continue
+            for v in bad:
+                with pytest.raises(ValueError):
+                    cls(**{**given, f.name: v})

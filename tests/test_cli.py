@@ -65,6 +65,40 @@ def test_gen_non_finite_sigma2_writes_no_csv(tmp_path):
     assert not out.exists() and not (tmp_path / "d.csv.npz").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--n", "20", "--d", "2", "--k-true", "2", "--dirichlet-alpha", "nan"],
+         "dirichlet_alpha must be positive"),
+        (["sweep", "--procedure", "uniform", "--n-values", "10", "--s-values", "5",
+          "--k", "2", "--rel-tol", "nan"], "rel_tol must be >= 0"),
+        (["tram", "--eps", "nan", "--k", "2"], "eps_total must be positive and finite"),
+        (["tram", "--eps", "1", "--k", "2", "--ball-radius", "nan"],
+         "B must be positive and finite"),
+        (["tram", "--eps", "1", "--k", "2", "--gamma-m", "nan"],
+         "growth factors must exceed 1 and be finite"),
+        (["tram", "--eps", "1", "--k", "2", "--gamma-s", "nan"],
+         "growth factors must exceed 1 and be finite"),
+        (["analytic", "--mode", "data-time", "--beta", "nan"], "beta must exceed 1 and be finite"),
+        (["analytic", "--mode", "data-time", "--B", "nan"],
+         "all coefficients must be positive and finite"),
+    ],
+    ids=["gen-alpha", "sweep-rel-tol", "tram-eps", "tram-B", "tram-gamma-m", "tram-gamma-s",
+         "analytic-beta", "analytic-B"],
+)
+def test_nan_flag_exits_1_and_writes_no_output(tmp_path, argv, message):
+    # sweep and tram build their configs before reading the missing input
+    out = tmp_path / "out.csv"
+    if argv[0] in ("sweep", "tram"):
+        argv = [*argv, "--input", str(tmp_path / "missing.csv")]
+    out_flag = "--trace-out" if argv[0] == "tram" else "--out"
+    assert main([*argv, out_flag, str(out)]) == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["error"] == f"ValueError: {message}"
+    assert manifest["outputs"] == []
+    assert not out.exists() and not (tmp_path / "out.csv.npz").exists()
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["gen", "--n", "50", "--d", "3", "--k-true", "2", "--seed", "5"]

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import re
 import shutil
 import threading
 import tracemalloc
@@ -13,7 +12,7 @@ import pytest
 
 from tramkit import Dataset, SyntheticSpec, gen_synthetic, load_csv, save_csv, split_validation
 from tramkit.core import _BLOCK_ROWS
-from tramkit.data import _HASH_CHUNK, _WRITE_ROWS, save_mixture_meta, save_twin
+from tramkit.data import _HASH_CHUNK, save_mixture_meta, save_twin
 
 from oracles import csv_writer_bytes, mixture_reference
 
@@ -159,7 +158,7 @@ def test_save_csv_bytes_match_csv_writer(tmp_path):
         assert same_bits(load_csv(f, has_header=header).points, pts)
 
 
-@pytest.mark.parametrize("n", [1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1])
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_save_csv_chunk_boundaries(tmp_path, n):
     pts = np.random.default_rng(n).normal(size=(n, 3)) * 1e3
     f = tmp_path / "rows.csv"
@@ -282,12 +281,6 @@ def test_load_csv_reads_a_stream_that_cannot_seek(tmp_path, has_header):
         _load_through_fifo(tmp_path / "bad.fifo", head + "1,2\n#3,4\n", has_header)
 
 
-def saved_with_twin(path, pts):
-    # what `tramkit gen` writes: the CSV with its header, then its twin
-    save_csv(Dataset(pts), path)
-    return save_twin(Dataset(pts), path)
-
-
 @pytest.mark.parametrize("has_header", [True, None])
 def test_load_csv_gives_the_same_bits_with_and_without_the_twin(tmp_path, has_header):
     # arbitrary finite doubles: subnormals, -0.0 and every exponent
@@ -295,8 +288,9 @@ def test_load_csv_gives_the_same_bits_with_and_without_the_twin(tmp_path, has_he
     pts = bits.view(np.float64)
     pts[~np.isfinite(pts)] = -0.0
     f = tmp_path / "data.csv"
-    twin = saved_with_twin(f, pts)
+    twin = save_twin(Dataset(pts), f)
     assert twin == f"{f}.npz"
+    assert f.read_bytes() == csv_writer_bytes(pts)
     with_twin = load_csv(f, has_header=has_header).points
     os.remove(twin)
     parsed = load_csv(f, has_header=has_header).points
@@ -319,7 +313,7 @@ def test_load_csv_converts_a_twin_to_c_ordered_float64(tmp_path, stored):
     # the twins whose points the loader must convert rather than take as read
     pts = np.random.default_rng(15).normal(size=(300, 4)) * 1e3
     f = tmp_path / "data.csv"
-    twin = saved_with_twin(f, pts)
+    twin = save_twin(Dataset(pts), f)
     write_twin(f.read_bytes(), twin, stored(pts))
     got = load_csv(f, has_header=True).points
     assert same_bits(got, np.asarray(stored(pts), np.float64, order="C"))
@@ -330,11 +324,11 @@ def test_load_csv_converts_a_twin_to_c_ordered_float64(tmp_path, stored):
 def test_load_csv_holds_one_copy_of_the_twins_points(tmp_path):
     data = gen_synthetic(SyntheticSpec(n=60_000, d=10, k_true=10, seed=3)).data
     f = tmp_path / "data.csv"
-    saved_with_twin(f, data.points)
+    save_twin(data, f)
     assert data.points.nbytes > _HASH_CHUNK
     # numpy's and zipfile's first calls allocate caches of their own
     small = tmp_path / "small.csv"
-    saved_with_twin(small, data.points[:5])
+    save_twin(Dataset(data.points[:5]), small)
     load_csv(small, has_header=True)
     tracemalloc.start()
     try:
@@ -347,21 +341,6 @@ def test_load_csv_holds_one_copy_of_the_twins_points(tmp_path):
     assert peak < 1.5 * got.nbytes
     assert same_bits(got, data.points)
     assert got.flags.c_contiguous and not got.flags.writeable
-
-
-def test_save_twin_requires_save_csvs_header(tmp_path):
-    data = Dataset(np.arange(6.0).reshape(3, 2))
-    f = tmp_path / "data.csv"
-    write_csv(data.points, f, header=False)
-    with pytest.raises(ValueError, match=re.escape(f"{f}: first line is not save_csv's")):
-        save_twin(data, f)
-    assert not os.path.exists(f"{f}.npz")
-    # a header for another dimension is not save_csv's header for this one
-    save_csv(Dataset(np.arange(6.0).reshape(2, 3)), f)
-    with pytest.raises(ValueError, match="header"):
-        save_twin(data, f)
-    assert not os.path.exists(f"{f}.npz")
-    assert load_csv(f, has_header=True).n == 2
 
 
 def _edit_a_digit(f, twin, pts):
@@ -401,7 +380,7 @@ _SPOILED_TWINS = {
 def test_load_csv_parses_the_csv_when_its_twin_does_not_match(tmp_path, spoil):
     pts = np.random.default_rng(14).normal(size=(200, 3)) * 1e3
     f = tmp_path / "data.csv"
-    twin = Path(saved_with_twin(f, pts))
+    twin = Path(save_twin(Dataset(pts), f))
     spoil(f, twin, pts)
     plain = tmp_path / "plain.csv"
     shutil.copyfile(f, plain)
@@ -413,7 +392,7 @@ def test_load_csv_parses_the_csv_when_its_twin_does_not_match(tmp_path, spoil):
 
 def test_load_csv_without_a_header_never_reads_the_twin(tmp_path):
     f = tmp_path / "data.csv"
-    saved_with_twin(f, np.arange(6.0).reshape(3, 2))
+    save_twin(Dataset(np.arange(6.0).reshape(3, 2)), f)
     with pytest.raises(ValueError, match="row 1: non-numeric field"):
         load_csv(f, has_header=False)
 
@@ -461,8 +440,12 @@ def test_split_empty_part_rejected():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(n=0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(n=1, dirichlet_alpha=0.0)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError, match="dirichlet_alpha must be positive"):
+            SyntheticSpec(n=1, dirichlet_alpha=alpha)
+    # inf is the equal-weights limit
+    weights = gen_synthetic(SyntheticSpec(n=5, d=2, k_true=4, dirichlet_alpha=math.inf)).weights
+    assert (weights == 0.25).all()
     with pytest.raises(ValueError):
         SyntheticSpec(n=1, box=(4.0, 4.0))
     with pytest.raises(ValueError, match="sigma2 must be nonnegative"):

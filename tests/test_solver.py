@@ -81,6 +81,12 @@ def test_lloyd_moves_to_weighted_mean():
     assert res.weighted_risk == pytest.approx(1.0)
 
 
+def test_lloyd_rejects_centers_of_another_dimension():
+    ws = uniform_weighted(Dataset([[0.0, 1.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 != 3"):
+        lloyd(ws, Centers([[0.0, 1.0, 2.0]]), SolverConfig(k=1))
+
+
 def test_lloyd_fixed_point_stops_after_one_iteration():
     ws = uniform_weighted(Dataset([[0.0], [2.0]]))
     res = lloyd(ws, Centers([[0.0], [2.0]]), SolverConfig(k=2))
@@ -246,8 +252,12 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(k=1, restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(k=1, rel_tol=-1.0)
+    for rel_tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+            SolverConfig(k=1, rel_tol=rel_tol)
+    # inf stops after one iteration
+    ws = uniform_weighted(Dataset([[0.0], [1.0], [9.0], [10.0]]))
+    assert lloyd(ws, Centers([[0.0], [1.0]]), SolverConfig(k=2, rel_tol=math.inf)).iterations == 1
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         SolverConfig(k=1, max_iters=0)
 

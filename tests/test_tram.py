@@ -13,6 +13,7 @@ from tramkit import (
     stopping_test,
     validation_size,
 )
+import tramkit.tram as tram_module
 from tramkit.cli import main
 from tramkit.data import save_csv
 from tramkit.tram import default_start_sizes, summary_at, truncation_at
@@ -53,16 +54,22 @@ def test_delta_precondition():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"eps_total": 0.0}, "eps_total must be positive"),
-        ({"beta": 1.0}, "beta must exceed 1"),
+        ({"eps_total": 0.0}, "eps_total must be positive and finite"),
+        ({"eps_total": math.inf}, "eps_total must be positive and finite"),
+        ({"beta": 1.0}, "beta must exceed 1 and be finite"),
+        ({"beta": math.inf, "gamma_s": 1.5}, "beta must exceed 1 and be finite"),
         ({"k": 0}, "k must be >= 1"),
-        ({"B": 0.0}, "B must be positive"),
-        ({"gamma_m": 1.0}, "growth factors must exceed 1"),
-        ({"gamma_s": 1.0}, "growth factors must exceed 1"),
+        ({"B": 0.0}, "B must be positive and finite"),
+        ({"B": math.inf}, "B must be positive and finite"),
+        ({"gamma_m": 1.0}, "growth factors must exceed 1 and be finite"),
+        ({"gamma_m": math.inf}, "growth factors must exceed 1 and be finite"),
+        ({"gamma_s": 1.0}, "growth factors must exceed 1 and be finite"),
+        ({"gamma_s": math.inf}, "growth factors must exceed 1 and be finite"),
         ({"m0": 0}, "m0 must be >= 1"),
         ({"s0": 0}, "s0 must be >= 1"),
     ],
-    ids=["eps_total", "beta", "k", "B", "gamma_m", "gamma_s", "m0", "s0"],
+    ids=["eps_total", "eps_total-inf", "beta", "beta-inf", "k", "B", "B-inf", "gamma_m",
+         "gamma_m-inf", "gamma_s", "gamma_s-inf", "m0", "s0"],
 )
 def test_params_range_checks(change, message):
     with pytest.raises(ValueError, match=message):
@@ -79,6 +86,18 @@ def test_train_and_validation_dimensions_must_match():
     p = TramParams(eps_total=1.0, delta=0.1, k=2, B=10.0)
     with pytest.raises(ValueError, match="train and validation dimensions differ"):
         run_tram(train, pool, p, SolverConfig(k=2))
+
+
+def test_run_tram_rejects_two_ks_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_tram worked before checking k")
+
+    monkeypatch.setattr(tram_module, "solve", no_work)
+    monkeypatch.setattr(Dataset, "bound_radius", no_work)
+    data = blob_data(50, 11, 1)
+    p = TramParams(eps_total=1.0, delta=0.1, k=3)
+    with pytest.raises(ValueError, match="TramParams.k = 3 differs from SolverConfig.k = 5"):
+        run_tram(data, data, p, SolverConfig(k=5))
 
 
 def test_stopping_threshold_boundary():
