@@ -139,9 +139,7 @@ def _coreset_pure_eval(s: np.ndarray, n: int, p: AnalyticParams):
 
 
 def _log_grid(lo: float, hi: float) -> np.ndarray:
-    lo, hi = max(lo, 1.0), max(hi, 1.0)
-    if hi <= lo:
-        return np.array([int(lo)])
+    # callers pass 1 <= lo < hi: the master grid, or a zoom inside it
     return np.unique(np.ceil(np.geomspace(lo, hi, GRID_POINTS)).astype(np.int64))
 
 
@@ -158,8 +156,6 @@ def coreset_optimum(n: int, p: AnalyticParams) -> ProcOptimum:
     Returns the better of the best pure-coreset configuration and the
     subsampler optimum; the latter case is flagged backed_off.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     subs = subsampler_optimum(n, p)
     if subs.structurally_infeasible:
         return subs

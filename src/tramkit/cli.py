@@ -56,24 +56,28 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _range_spec(text: str):
-    """Either 'lo:hi:count' (log-spaced) or a comma-separated list."""
+def _range_spec(text: str) -> list[float]:
+    """Either 'lo:hi:count' (log-spaced) or a comma-separated list, of
+    positive finite values."""
     if ":" in text:
         try:
             lo, hi, count = text.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected lo:hi:count: {text!r}")
-        if lo <= 0 or hi < lo or count < 1:
+        # written so that NaN fails it
+        if not (0 < lo <= hi < math.inf and count >= 1):
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
-        return np.geomspace(lo, hi, count)
+        return np.geomspace(lo, hi, count).tolist()
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number: {text!r}")
-    return np.array(values)
+    if not all(0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"expected positive finite numbers: {text!r}")
+    return values
 
 
 # --header choices as load_csv's has_header; None decides from the first row
@@ -313,17 +317,18 @@ def main(argv=None) -> int:
         parser.error("--delta must lie in (0, 1/5)")
     if args.command == "tram" and not 0.0 < args.val_fraction < 1.0:
         parser.error("--val-fraction must lie in (0, 1)")
+    # inf keeps its meaning (every record is feasible); NaN fails the check
+    if args.command == "pareto" and args.eps is not None and not args.eps >= 0.0:
+        parser.error("--eps must be >= 0")
+    if args.command == "pareto" and args.n is not None and args.n < 1:
+        parser.error("--n must be >= 1")
 
     started = _utcnow()
     t0 = time.perf_counter()
     outputs: list[str] = []
     manifest = {
         "command": args.command,
-        "parameters": {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in sorted(vars(args).items())
-            if not callable(v)
-        },
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if not callable(v)},
         "seed": getattr(args, "seed", None),
         "started": started,
         "tool_version": __version__,

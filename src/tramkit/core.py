@@ -330,7 +330,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None, group
     return labels, d2
 
 
-def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.ndarray:
+def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Per-point squared distance to the nearest of the given centers.
 
     The distance is computed from explicit differences to the nearest
@@ -338,10 +338,9 @@ def min_sq_dists(points: np.ndarray, centers: np.ndarray, *, _norms=None) -> np.
     selects (see `_nearest`); coinciding points give exactly 0. A 1-D
     `points` array is one point, and a 1-D `centers` array one center,
     unlike `Dataset` and `Centers`, which read a 1-D array as n points in
-    R^1. `_norms` is the library's own channel for the points'
-    precomputed row norms.
+    R^1.
     """
-    return _nearest(points, centers, _norms)[1][0]
+    return _nearest(points, centers)[1][0]
 
 
 def assign_nearest(points: np.ndarray, centers: np.ndarray, *, _norms=None, _lb=None, _groups=None):

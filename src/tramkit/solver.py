@@ -220,7 +220,7 @@ def seed_dsquared(ws: WeightedSet, k: int, rng: np.random.Generator) -> Centers:
     return _wrap(Centers, ws.points[chosen])
 
 
-def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, norms) -> None:
+def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray) -> None:
     # a dead center is re-placed at the positive-weight point with the
     # largest weighted squared distance to its nearest live center. A dead
     # row holds its zero centroid sum, not a center, so it counts only once
@@ -228,7 +228,7 @@ def _repair_empty(centers: np.ndarray, empties, pts: np.ndarray, w: np.ndarray, 
     live = np.ones(len(centers), dtype=bool)
     live[empties] = False
     for j in sorted(empties):
-        score = w * min_sq_dists(pts, centers[live], _norms=norms)
+        score = w * min_sq_dists(pts, centers[live])
         score[w <= 0] = -1.0
         centers[j] = pts[int(score.argmax())]
         live[j] = True
@@ -319,10 +319,10 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
 
     Once per call it builds the weighted points as contiguous (d, n) rows,
     so each update's per-coordinate `bincount` streams one row, and the row
-    norms that every assignment and empty-cluster repair takes for its tie
-    margin. The centers, risk history and iteration count equal, bit for
-    bit, those of a loop that assigns with the per-center oracle and sums
-    strided columns of (n, d) weighted points (`tests/oracles.py`).
+    norms that every assignment takes for its tie margin. The centers, risk
+    history and iteration count equal, bit for bit, those of a loop that
+    assigns with the per-center oracle and sums strided columns of (n, d)
+    weighted points (`tests/oracles.py`).
 
     With at least `_LLOYD_SCREEN_MIN` points, an assignment after the
     first ranks again only the points whose label can change (Hamerly, SDM
@@ -398,7 +398,7 @@ def _lloyd(ws: WeightedSet, centers: np.ndarray, groups: int, cfg: SolverConfig)
         if empties.size:
             grp, empties = np.divmod(empties, k)
             for a in np.unique(grp):
-                _repair_empty(centers[a * k : a * k + k], empties[grp == a], pts, w, norms)
+                _repair_empty(centers[a * k : a * k + k], empties[grp == a], pts, w)
         if rank_all:
             ranked, d2 = assign_nearest(pts, centers, _norms=norms, _lb=lb, _groups=g)
             frozen = (ranked == labels).all(axis=1)

@@ -120,8 +120,13 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
         solver = replace(grid.solver, seed=stable_seed(grid.seed, "solve", ni, sj, rep))
 
         t0 = time.perf_counter()
-        if grid.procedure == "coreset":
-            # s >= n gives the whole sample at weight 1/n, as uniform does
+        if gather:
+            summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
+            pick = summ_rng.choice(n, size=s, replace=False)
+            summary = uniform_weighted(reference.subset(idx.take(pick)))
+        else:
+            # a coreset; s >= n gives the whole sample at weight 1/n, for
+            # either procedure, which build_coreset returns without drawing
             summary = build_coreset(
                 sample,
                 CoresetParams(
@@ -130,12 +135,6 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
                     seed=stable_seed(grid.seed, "summarize", ni, sj, rep),
                 ),
             )
-        elif gather:
-            summ_rng = derive_rng(grid.seed, "summarize", ni, sj, rep)
-            pick = summ_rng.choice(n, size=s, replace=False)
-            summary = uniform_weighted(reference.subset(idx.take(pick)))
-        else:
-            summary = uniform_weighted(sample)
         result = solve(summary, solver)
         times.append(time.perf_counter() - t0)
         risks.append(empirical_risk(reference, result.centers))
@@ -147,7 +146,7 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
         mean_time_s=statistics.fmean(times),
         median_time_s=statistics.median(times),
         mean_risk=statistics.fmean(risks),
-        std_risk=statistics.pstdev(risks) if len(risks) > 1 else 0.0,
+        std_risk=statistics.pstdev(risks),
         seed=grid.seed,
     )
 

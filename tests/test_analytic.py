@@ -222,6 +222,12 @@ def test_curves_validation():
         analytic_curves(REFERENCE, "data_time", [])
 
 
+def test_optima_reject_an_empty_data_size():
+    for optimum in (subsampler_optimum, coreset_optimum):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            optimum(0, REFERENCE)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AnalyticParams(beta=1.0)

@@ -25,6 +25,16 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def write_lambda(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["procedure", "n", "s", "repeats", "mean_time_s", "median_time_s",
+             "mean_risk", "std_risk", "seed"]
+        )
+        writer.writerows(rows)
+
+
 def no_manifest_written(root):
     return not any(root.rglob("*.manifest.json"))
 
@@ -314,15 +324,11 @@ def test_sweep_procedures_share_interface(tmp_path):
 
 def test_pareto_hand_built(tmp_path):
     lam = tmp_path / "lam.csv"
-    with open(lam, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["procedure", "n", "s", "repeats", "mean_time_s", "median_time_s",
-             "mean_risk", "std_risk", "seed"]
-        )
-        writer.writerow(["uniform", 10, 1, 1, 5.0, 5.0, 1.0, 0.0, 0])
-        writer.writerow(["uniform", 20, 1, 1, 3.0, 3.0, 1.0, 0.0, 0])
-        writer.writerow(["uniform", 20, 2, 1, 1.0, 1.0, 9.0, 0.0, 0])
+    write_lambda(lam, [
+        ["uniform", 10, 1, 1, 5.0, 5.0, 1.0, 0.0, 0],
+        ["uniform", 20, 1, 1, 3.0, 3.0, 1.0, 0.0, 0],
+        ["uniform", 20, 2, 1, 1.0, 1.0, 9.0, 0.0, 0],
+    ])
     out = tmp_path / "front.csv"
     rc = main(["pareto", "--lambda", str(lam), "--eps", "2.0", "--out", str(out)])
     assert rc == 0
@@ -337,19 +343,24 @@ def test_pareto_hand_built(tmp_path):
 
 def test_pareto_empty_feasible_set(tmp_path, capsys):
     lam = tmp_path / "lam.csv"
-    with open(lam, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["procedure", "n", "s", "repeats", "mean_time_s", "median_time_s",
-             "mean_risk", "std_risk", "seed"]
-        )
-        writer.writerow(["uniform", 10, 1, 1, 5.0, 5.0, 1.0, 0.0, 0])
+    write_lambda(lam, [["uniform", 10, 1, 1, 5.0, 5.0, 1.0, 0.0, 0]])
     out = tmp_path / "front.csv"
     rc = main(["pareto", "--lambda", str(lam), "--eps", "0.5", "--out", str(out)])
     assert rc == 0
     assert "warning" in capsys.readouterr().err
     lines = out.read_text().strip().splitlines()
     assert lines == ["n_or_eps,time_s,source"]
+
+
+def test_pareto_eps_inf_keeps_every_record_feasible(tmp_path):
+    lam = tmp_path / "lam.csv"
+    write_lambda(lam, [
+        ["uniform", 10, 1, 1, 5.0, 5.0, 1e300, 0.0, 0],
+        ["uniform", 20, 1, 1, 3.0, 3.0, 9.0, 0.0, 0],
+    ])
+    out = tmp_path / "front.csv"
+    assert main(["pareto", "--lambda", str(lam), "--eps", "inf", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"n_or_eps,time_s,source\r\n10.0,5.0,uniform\r\n20.0,3.0,uniform\r\n"
 
 
 def test_pareto_modes_mutually_exclusive(tmp_path):
@@ -572,14 +583,33 @@ def test_config_range_error_comes_before_the_input_is_read(tmp_path, argv):
          "--val-fraction must lie in (0, 1)"),
         (["tram", "--eps", "1", "--k", "2", "--val-fraction", "1"],
          "--val-fraction must lie in (0, 1)"),
+        (["analytic", "--mode", "data-time", "--range", "nan:1000:3"],
+         "argument --range: bad range 'nan:1000:3'"),
+        (["analytic", "--mode", "data-time", "--range", "10:inf:3"],
+         "argument --range: bad range '10:inf:3'"),
+        (["analytic", "--mode", "data-time", "--range", "inf,5"],
+         "argument --range: expected positive finite numbers: 'inf,5'"),
+        (["analytic", "--mode", "risk-time", "--range", "100,nan"],
+         "argument --range: expected positive finite numbers: '100,nan'"),
+        (["analytic", "--mode", "data-time", "--range=-5,10"],
+         "argument --range: expected positive finite numbers: '-5,10'"),
+        (["analytic", "--mode", "risk-time", "--range", "0,10"],
+         "argument --range: expected positive finite numbers: '0,10'"),
+        (["pareto", "--lambda", "lam.csv", "--eps", "nan"], "--eps must be >= 0"),
+        (["pareto", "--lambda", "lam.csv", "--eps", "-1"], "--eps must be >= 0"),
+        (["pareto", "--lambda", "lam.csv", "--n", "0"], "--n must be >= 1"),
+        (["pareto", "--lambda", "lam.csv", "--n", "-4"], "--n must be >= 1"),
     ],
     ids=["int-list-token", "int-list-float", "range-token", "range-two-parts",
-         "number-list-token", "val-fraction-0", "val-fraction-1"],
+         "number-list-token", "val-fraction-0", "val-fraction-1", "range-nan-lo",
+         "range-inf-hi", "range-list-inf", "range-list-nan", "range-list-negative",
+         "range-list-zero", "pareto-eps-nan", "pareto-eps-negative", "pareto-n-0",
+         "pareto-n-negative"],
 )
 def test_bad_flag_value_is_usage_error_without_manifest(tmp_path, capsys, argv, message):
     # the usage error comes before the input is read, so it need not exist
     out = str(tmp_path / "out.csv")
-    if argv[0] == "analytic":
+    if argv[0] in ("analytic", "pareto"):
         argv = argv + ["--out", out]
     else:
         argv = argv[:1] + ["--input", str(tmp_path / "data.csv")] + argv[1:]
@@ -593,16 +623,12 @@ def test_bad_flag_value_is_usage_error_without_manifest(tmp_path, capsys, argv, 
 
 def test_pareto_n_writes_the_risk_time_frontier(tmp_path):
     lam = tmp_path / "lam.csv"
-    with open(lam, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["procedure", "n", "s", "repeats", "mean_time_s", "median_time_s",
-             "mean_risk", "std_risk", "seed"]
-        )
-        writer.writerow(["uniform", 10, 1, 1, 5.0, 5.0, 4.0, 0.0, 0])
-        writer.writerow(["uniform", 20, 1, 1, 3.0, 3.0, 2.0, 0.0, 0])
-        writer.writerow(["uniform", 20, 2, 1, 1.0, 1.0, 9.0, 0.0, 0])
-        writer.writerow(["coreset", 40, 1, 1, 0.5, 0.5, 1.0, 0.0, 0])
+    write_lambda(lam, [
+        ["uniform", 10, 1, 1, 5.0, 5.0, 4.0, 0.0, 0],
+        ["uniform", 20, 1, 1, 3.0, 3.0, 2.0, 0.0, 0],
+        ["uniform", 20, 2, 1, 1.0, 1.0, 9.0, 0.0, 0],
+        ["coreset", 40, 1, 1, 0.5, 0.5, 1.0, 0.0, 0],
+    ])
     out = tmp_path / "front.csv"
     rc = main(["pareto", "--lambda", str(lam), "--n", "20", "--out", str(out)])
     assert rc == 0
@@ -673,6 +699,50 @@ def test_flag_defaults_are_the_config_defaults():
     assert flags["tram"]["delta"] == 0.1
     fixed_n = inspect.signature(analytic_curves).parameters["fixed_n"].default
     assert flags["analytic"]["n"] == fixed_n
+
+
+def test_every_float_flag_rejects_nan(tmp_path):
+    # each command line exits 0 as it stands; with any one float flag (or
+    # --range) set to NaN it must exit non-zero and write no output
+    data = tmp_path / "data.csv"
+    write_blobs(data, n=300)
+    lam = tmp_path / "lam.csv"
+    write_lambda(lam, [["uniform", 10, 1, 1, 5.0, 5.0, 1.0, 0.0, 0]])
+    base = {
+        "gen": ["gen", "--n", "20", "--d", "2", "--k-true", "2", "--out"],
+        "sweep": ["sweep", "--input", str(data), "--procedure", "uniform", "--n-values", "50",
+                  "--s-values", "10", "--repeats", "1", "--k", "2", "--out"],
+        "pareto": ["pareto", "--lambda", str(lam), "--eps", "1e9", "--out"],
+        "tram": ["tram", "--input", str(data), "--eps", "1e6", "--k", "3", "--m0", "50",
+                 "--s0", "10", "--trace-out"],
+        "analytic": ["analytic", "--mode", "risk-time", "--range", "300,500", "--out"],
+    }
+
+    def run(cmd, extra, name):
+        # the exit code and the names of the files written
+        work = tmp_path / name
+        work.mkdir()
+        try:
+            code = main([*base[cmd], str(work / "out.csv"), *extra])
+        except SystemExit as exc:
+            code = exc.code
+        return code, {p.name for p in work.iterdir()}
+
+    for cmd in base:
+        code, files = run(cmd, [], cmd)
+        assert code == 0 and "out.csv" in files, cmd
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    walked = [
+        (cmd, action.option_strings[0])
+        for cmd, sub in subs.choices.items()
+        for action in sub._actions
+        if action.type in (float, cli._range_spec)
+    ]
+    assert len(walked) == 22
+    for cmd, flag in walked:
+        code, files = run(cmd, [flag, "nan"], f"{cmd}{flag}")
+        assert code != 0 and files <= {"out.manifest.json"}, (cmd, flag, code, files)
 
 
 def test_version_flag():

@@ -317,3 +317,6 @@ def test_coreset_params_validation(k, size, message):
 def test_eta_model_validation():
     with pytest.raises(ValueError):
         EtaModel(A=0.0, d=1, k=1)
+    for d, k in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="d and k must be positive integers"):
+            EtaModel(d=d, k=k)

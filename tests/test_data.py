@@ -435,6 +435,9 @@ def test_split_empty_part_rejected():
     small = Dataset([[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError):
         split_validation(small, 0.1, seed=0)  # floor(0.3) = 0 validation points
+    for fraction in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\)"):
+            split_validation(small, fraction, seed=0)
 
 
 def test_spec_validation():

@@ -40,6 +40,12 @@ def test_seeding_single_point():
     assert np.array_equal(c.centers, [[5.0, 5.0]])
 
 
+def test_seeding_needs_a_center():
+    ws = WeightedSet([[5.0, 5.0]], [1.0])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        seed_dsquared(ws, 0, np.random.default_rng(0))
+
+
 def test_seeding_excludes_zero_weight():
     ws = WeightedSet([[0.0], [1.0]], [1.0, 0.0])
     for seed in range(20):
