@@ -120,7 +120,7 @@ def cmd_sweep(args, outputs: list[str]) -> None:
     # the configs first, so a flag out of range fails before the input is read
     grid = _config(SweepGrid, args, solver=_config(SolverConfig, args))
     data = load_csv(args.input, has_header=_HAS_HEADER[args.header])
-    lam = run_sweep(data, grid, jobs=args.jobs)
+    lam = run_sweep(data, grid)
     lam.to_csv(args.out)
     outputs.append(args.out)
 
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-values", type=_int_list, required=True)
     sweep.add_argument("--s-values", type=_int_list, required=True)
     sweep.add_argument("--repeats", type=int, default=50)
-    sweep.add_argument("--jobs", type=int, default=1, help="concurrent cells")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True)
     _add_solver_flags(sweep)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from .core import Dataset, empirical_risk, uniform_weighted
@@ -151,27 +150,23 @@ def _run_cell(reference: Dataset, grid: SweepGrid, ni: int, sj: int) -> LambdaRe
     )
 
 
-def run_sweep(data_source: Dataset, grid: SweepGrid, jobs: int = 1) -> Lambda:
+def run_sweep(data_source: Dataset, grid: SweepGrid) -> Lambda:
     """Measure every (n, s) cell of the grid against the reference data.
 
-    Timing covers summarization plus solving only. Cell values are
-    scheduling-independent (per-cell substreams); jobs > 1 runs cells
-    concurrently, which can perturb the recorded wall times but not the
-    risks.
+    Cells run one at a time, in grid order. Each cell's clock covers
+    summarize plus solve only; the sample draw, the sample copy and the
+    reference risk fall outside it. Cell values do not depend on the
+    order (per-cell substreams).
     """
     if max(grid.n_values) > data_source.n:
         raise ValueError(
             f"grid needs {max(grid.n_values)} points, data has {data_source.n}"
         )
-    cells = [(i, j) for i in range(len(grid.n_values)) for j in range(len(grid.s_values))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(lambda c: _run_cell(data_source, grid, *c), cells)
-            )
-    else:
-        records = [_run_cell(data_source, grid, i, j) for i, j in cells]
-    return Lambda(tuple(records))
+    return Lambda(tuple(
+        _run_cell(data_source, grid, i, j)
+        for i in range(len(grid.n_values))
+        for j in range(len(grid.s_values))
+    ))
 
 
 def pareto_data_time(lam: Lambda, eps_total: float) -> list[tuple[int, float]]:

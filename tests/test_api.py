@@ -63,6 +63,22 @@ def test_only_the_data_layer_imports_csv():
     assert importers <= {"data", "tradeoff"}
 
 
+def test_no_module_starts_threads_or_processes():
+    # the library runs on its caller's thread, so each clock wraps one
+    # thread's work
+    banned = {"concurrent", "threading", "multiprocessing"}
+    importers = {
+        name
+        for name, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] in banned for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] in banned
+    }
+    assert importers == set()
+
+
 def _private_names(stmt):
     """The private names a module-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -599,12 +599,14 @@ def test_config_range_error_comes_before_the_input_is_read(tmp_path, argv):
         (["pareto", "--lambda", "lam.csv", "--eps", "-1"], "--eps must be >= 0"),
         (["pareto", "--lambda", "lam.csv", "--n", "0"], "--n must be >= 1"),
         (["pareto", "--lambda", "lam.csv", "--n", "-4"], "--n must be >= 1"),
+        (["sweep", "--procedure", "uniform", "--n-values", "50", "--s-values", "10",
+          "--k", "2", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
     ],
     ids=["int-list-token", "int-list-float", "range-token", "range-two-parts",
          "number-list-token", "val-fraction-0", "val-fraction-1", "range-nan-lo",
          "range-inf-hi", "range-list-inf", "range-list-nan", "range-list-negative",
          "range-list-zero", "pareto-eps-nan", "pareto-eps-negative", "pareto-n-0",
-         "pareto-n-negative"],
+         "pareto-n-negative", "sweep-jobs-removed"],
 )
 def test_bad_flag_value_is_usage_error_without_manifest(tmp_path, capsys, argv, message):
     # the usage error comes before the input is read, so it need not exist
@@ -752,7 +754,8 @@ def test_version_flag():
 
 
 def test_config_fills_every_other_field_from_its_flag():
-    args = argparse.Namespace(k=3, max_iters=7, rel_tol=0.5, restarts=2, seed=9, jobs=4)
+    args = argparse.Namespace(k=3, max_iters=7, rel_tol=0.5, restarts=2, seed=9,
+                              procedure="uniform")
     assert cli._config(SolverConfig, args, seed=1) == SolverConfig(
         k=3, max_iters=7, rel_tol=0.5, restarts=2, seed=1
     )

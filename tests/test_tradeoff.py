@@ -1,5 +1,7 @@
 import statistics
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from tramkit import (
     solve,
     uniform_weighted,
 )
+import tramkit.tradeoff as tradeoff
 from tramkit.rng import derive_rng, stable_seed
 
 
@@ -200,11 +203,25 @@ def test_sweep_rejects_oversized_grid():
         run_sweep(data, small_grid("uniform"))  # grid needs 120 > 100 points
 
 
-def test_jobs_do_not_change_values():
+def test_cell_clock_leaves_the_reference_risk_out(monkeypatch):
+    # each reference risk moves the sweep's clock on by an hour, which a
+    # cell's time would show if its clock wrapped the risk; a real sleep
+    # would race the machine's own stalls
     data = two_cluster_line(200, seed=5)
-    lam1 = run_sweep(data, small_grid("coreset", repeats=3), jobs=1)
-    lam2 = run_sweep(data, small_grid("coreset", repeats=3), jobs=2)
-    assert [r.mean_risk for r in lam1.records] == [r.mean_risk for r in lam2.records]
+    plain = run_sweep(data, small_grid("coreset", repeats=2))
+    skew = [0.0]
+
+    def risk_taking_an_hour(*args):
+        skew[0] += 3600.0
+        return empirical_risk(*args)
+
+    clock = SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0])
+    monkeypatch.setattr(tradeoff, "time", clock)
+    monkeypatch.setattr(tradeoff, "empirical_risk", risk_taking_an_hour)
+    slow = run_sweep(data, small_grid("coreset", repeats=2))
+    assert skew[0] == 3600.0 * 4 * 2
+    assert all(r.mean_time_s < 3600.0 for r in slow.records)
+    assert [r.mean_risk for r in slow.records] == [r.mean_risk for r in plain.records]
 
 
 def test_lambda_csv_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +150,27 @@ def test_trace_schedule_and_validation_columns():
     assert all(b > a for a, b in zip(s_seq, s_seq[1:]))
     # exactly the last row stopped
     assert [r.stopped for r in trace.rows] == [False] * (trace.J - 1) + [True]
+
+
+def test_solver_clock_leaves_the_validation_risk_out(monkeypatch):
+    # each validation risk moves TRAM's clock on by an hour, which must
+    # land in elapsed_validation and never in elapsed_solver
+    skew = [0.0]
+
+    def risk_taking_an_hour(*args):
+        skew[0] += 3600.0
+        return empirical_risk(*args)
+
+    clock = SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0])
+    monkeypatch.setattr(tram_module, "time", clock)
+    monkeypatch.setattr(tram_module, "empirical_risk", risk_taking_an_hour)
+    train = blob_data(350, 3, 1)
+    pool = blob_data(30000, 3, 2)
+    p = TramParams(eps_total=0.42, delta=0.1, k=3, m0=20, s0=5, seed=1)
+    trace = run_tram(train, pool, p, SolverConfig(k=3, seed=1))
+    assert trace.J >= 2 and skew[0] == 3600.0 * trace.J
+    assert all(r.elapsed_solver < 3600.0 for r in trace.rows)
+    assert all(r.elapsed_validation >= 3600.0 for r in trace.rows)
 
 
 def test_determinism():
