@@ -52,7 +52,7 @@ def _as_points(points, name: str, copy: bool = True) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A dense collection of n points in R^d.
 
@@ -105,7 +105,7 @@ class Dataset:
         return _wrap(Dataset, pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Centers:
     """A set of k candidate centers in R^d."""
 
@@ -123,7 +123,7 @@ class Centers:
         return self.centers.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSet:
     """Points with nonnegative weights; represents coresets and subsamples."""
 
@@ -206,7 +206,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None, group
     a point that coincides with its center gets exactly 0.
 
     `norms`, the row norms |x|, may come from a caller that assigns the
-    same points repeatedly (Lloyd); they only set the tie margin. The block
+    same points repeatedly (Lloyd). They set the tie margin and, with `lb`,
+    each bound's |x|^2, so they must be exactly the points' own. The block
     scratch (the (groups k, rows) scores, which the near-best mask
     overwrites, the margin rows, the (groups, 2, rows) tally, the
     (groups rows, d) gathered centers and their distances) is allocated
@@ -234,8 +235,6 @@ def _nearest(points: np.ndarray, centers: np.ndarray, norms=None, lb=None, group
         raise ValueError("centers must be a non-empty (k, d) array")
     if points.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {points.shape[1]} != {centers.shape[1]}")
-    if lb is not None and groups != 1:
-        raise ValueError("lower bounds are kept for one group of centers only")
     n, d = points.shape
     k = centers.shape[0] // groups
     if norms is None:

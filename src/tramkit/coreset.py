@@ -45,7 +45,7 @@ class CoresetParams:
             raise ValueError("size must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bicriteria:
     """Rough clustering with BICRITERIA_FACTOR * k centers.
 

@@ -53,7 +53,7 @@ class SyntheticSpec:
             raise ValueError("box must be a (low, high) interval of finite width")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticResult:
     data: Dataset
     means: np.ndarray  # (k_true, d) ground-truth component means

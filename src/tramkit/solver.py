@@ -48,7 +48,7 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     centers: Centers
     weighted_risk: float
@@ -318,11 +318,12 @@ def lloyd(ws: WeightedSet, init: Centers, cfg: SolverConfig) -> SolveResult:
     iteration.
 
     Once per call it builds the weighted points as contiguous (d, n) rows,
-    so each update's per-coordinate `bincount` streams one row, and the row
-    norms that every assignment takes for its tie margin. The centers, risk
-    history and iteration count equal, bit for bit, those of a loop that
-    assigns with the per-center oracle and sums strided columns of (n, d)
-    weighted points (`tests/oracles.py`).
+    so each update's per-coordinate `bincount` streams one row, and the
+    points' own row norms: every assignment takes them for its tie margin,
+    and the screened ones square them into each lower bound. The centers,
+    risk history and iteration count equal, bit for bit, those of a loop
+    that assigns with the per-center oracle and sums strided columns of
+    (n, d) weighted points (`tests/oracles.py`).
 
     With at least `_LLOYD_SCREEN_MIN` points, an assignment after the
     first ranks again only the points whose label can change (Hamerly, SDM

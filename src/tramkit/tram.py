@@ -94,7 +94,7 @@ class TramIteration:
     elapsed_validation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TramTrace:
     """One navigation's rounds and result.
 

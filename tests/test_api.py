@@ -3,11 +3,27 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tramkit
+from tramkit import (
+    Centers,
+    CoresetParams,
+    Dataset,
+    SolverConfig,
+    TramParams,
+    WeightedSet,
+    bicriteria_init,
+    run_tram,
+    solve,
+    uniform_weighted,
+)
+from tramkit.data import SyntheticSpec, gen_synthetic, split_validation
+from tramkit.rng import derive_rng
 
 MODULES = ["tramkit"] + [
     f"tramkit.{m.name}" for m in pkgutil.iter_modules(tramkit.__path__)
@@ -181,3 +197,82 @@ def test_every_config_rejects_nan_in_each_float_field():
             for v in bad:
                 with pytest.raises(ValueError):
                     cls(**{**given, f.name: v})
+
+
+def _twin_solves():
+    ws = uniform_weighted(Dataset(np.arange(40.0).reshape(20, 2)))
+    return [solve(ws, SolverConfig(k=2, seed=3)) for _ in range(2)]
+
+
+def _twin_traces():
+    data = Dataset(np.random.default_rng(0).normal(size=(400, 2)))
+    train, pool = split_validation(data, 0.25, seed=1)
+    params = TramParams(eps_total=1e6, delta=0.1, k=2, seed=1)
+    return [run_tram(train, pool, params, SolverConfig(k=2, seed=1)) for _ in range(2)]
+
+
+# each dataclass that holds arrays, directly or through a field of another
+# -> two instances built from equal arrays, and one of those arrays
+TWINS = {
+    "Dataset": (lambda: [Dataset(np.eye(3)) for _ in range(2)], lambda x: x.points),
+    "Centers": (lambda: [Centers(np.eye(3)) for _ in range(2)], lambda x: x.centers),
+    "WeightedSet": (
+        lambda: [WeightedSet(np.eye(3), np.ones(3)) for _ in range(2)],
+        lambda x: x.weights,
+    ),
+    "SolveResult": (_twin_solves, lambda x: x.centers.centers),
+    "Bicriteria": (
+        lambda: [
+            bicriteria_init(Dataset(np.eye(4)), CoresetParams(k=1, size=2), derive_rng(0))
+            for _ in range(2)
+        ],
+        lambda x: x.point_costs,
+    ),
+    "SyntheticResult": (
+        lambda: [gen_synthetic(SyntheticSpec(n=10, d=2, k_true=3)) for _ in range(2)],
+        lambda x: x.means,
+    ),
+    "TramTrace": (_twin_traces, lambda x: x.final_centers.centers),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_array_holder_is_its_own_equal_and_a_dict_key(name):
+    build, array = TWINS[name]
+    a, b = build()
+    assert type(a).__name__ == name
+    assert np.array_equal(array(a), array(b))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a)
+    table = {a: "a", b: "b"}
+    assert table[a] == "a" and len(table) == 2
+
+
+def _holds(hint, types) -> bool:
+    return hint in types or any(_holds(arg, types) for arg in typing.get_args(hint))
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # a generated __eq__ compares arrays, whose truth value raises, and a
+    # generated __hash__ hashes them, which raises: so every dataclass that
+    # holds an array, or one of the types that do, keeps object's methods
+    hints = {
+        obj: typing.get_type_hints(obj).values()
+        for name in MODULES
+        for obj in vars(importlib.import_module(name)).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    }
+    holders = set()
+    while True:
+        held = holders | {np.ndarray}
+        more = {cls for cls, hs in hints.items() if any(_holds(h, held) for h in hs)}
+        if more == holders:
+            break
+        holders = more
+    assert set(TWINS) <= {cls.__name__ for cls in holders}
+    raising = [
+        cls.__name__
+        for cls in holders
+        if cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__
+    ]
+    assert raising == []

@@ -2,14 +2,18 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tramkit import cli
+from tramkit import __version__, cli
 from tramkit.analytic import AnalyticParams, analytic_curves
 from tramkit.cli import main
 from tramkit.data import gen_synthetic, SyntheticSpec, load_csv
@@ -751,6 +755,14 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    # `python -m tramkit.cli` reaches main through the module's __main__ guard
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tramkit.cli", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (0, f"tramkit {__version__}\n")
 
 
 def test_config_fills_every_other_field_from_its_flag():

@@ -87,6 +87,13 @@ def test_dataset_reads_a_1d_array_as_points_in_r1():
     assert min_sq_dists(np.array([0.0, 1.0, 4.0]), np.zeros((1, 3))).shape == (1,)
 
 
+def test_centers_and_weighted_set_report_their_dimension():
+    # a 1-D array is centers in R^1 here too
+    assert (Centers([[0.0, 1.0, 2.0]]).d, Centers([0.0, 1.0]).d) == (3, 1)
+    ws = WeightedSet(np.zeros((4, 5)), np.ones(4))
+    assert (ws.size, ws.d) == (4, 5)
+
+
 def test_weighted_set_requires_weights():
     # a missing weights argument is a call error, not a shape complaint
     with pytest.raises(TypeError):
